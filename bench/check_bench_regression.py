@@ -18,6 +18,11 @@ morsel-parallel timing (parallel_ms): with a serial baseline this doubles as
 "parallel execution must never be more than threshold-times slower than the
 recorded serial kernel, relative to the reference".
 
+Deterministic counts are gated exactly: when a baseline row and a current
+row both carry one of EXACT_FIELDS (protocol rounds, makespan, bits, pages
+and payload bits — simulated quantities, not timings), the two values must
+be equal, so any cost-model drift fails the gate.
+
 Usage:
   check_bench_regression.py BASELINE CURRENT [--threshold 1.5]
 Exit status: 0 = pass, 1 = regression, 2 = usage/IO/coverage error.
@@ -39,6 +44,18 @@ def load_rows(path):
     for row in rows:
         out[(row["bench"], row["n"])] = row
     return out
+
+
+# Simulated protocol costs: exact functions of the bench inputs, identical
+# on every machine and at every parallelism level.
+EXACT_FIELDS = ("rounds", "makespan", "sync_bits", "async_bits", "pages",
+                "peak_pages")
+EXACT_PREFIXES = ("payload_bits_",)
+
+
+def exact_fields(row):
+    return [k for k in row
+            if k in EXACT_FIELDS or k.startswith(EXACT_PREFIXES)]
 
 
 def normalized(row, key):
@@ -103,6 +120,20 @@ def main():
             if ratio > args.threshold:
                 failures.append((key, metric, ratio))
 
+    # Exact counts: every (bench, n) in both files, whatever its size.
+    count_failures = []
+    counts_checked = 0
+    for key in sorted(set(base) & set(cur)):
+        b, c = base[key], cur[key]
+        for field in exact_fields(b):
+            if field not in c:
+                continue
+            counts_checked += 1
+            if c[field] != b[field]:
+                print(f"{key[0]:<14} {key[1]:>9} {field:<11} {b[field]!s:>9} "
+                      f"{c[field]!s:>9} <-- COUNT CHANGED")
+                count_failures.append((key, field, b[field], c[field]))
+
     # Absolute speedup floors: each spec is checked independently, and a spec
     # that matches no current row is an error, not a vacuous pass — renaming
     # a bench or shrinking the size list must not silently disable the gate.
@@ -142,12 +173,21 @@ def main():
         for bench, n, speedup, floor in floor_failures:
             print(f"  {bench} n={n}: {speedup:.2f}x < required {floor:.2f}x",
                   file=sys.stderr)
-    if failures or floor_failures:
+    if count_failures:
+        print(f"\nFAIL: {len(count_failures)} deterministic count(s) differ "
+              f"from the baseline — the protocol cost model changed:",
+              file=sys.stderr)
+        for (bench, n), field, want, got in count_failures:
+            print(f"  {bench} n={n} {field}: {got} != baseline {want}",
+                  file=sys.stderr)
+    if failures or floor_failures or count_failures:
         return 1
     print(f"\nOK: {len(common)} bench rows within {args.threshold}x of "
           f"baseline"
           + (f"; {len(floor_specs)} absolute floor(s) held"
-             if floor_specs else ""))
+             if floor_specs else "")
+          + (f"; {counts_checked} exact count(s) matched"
+             if counts_checked else ""))
     return 0
 
 

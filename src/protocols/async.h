@@ -1,6 +1,8 @@
-// Event-driven execution mode of the paper's distributed protocols, on the
-// AsyncNetwork + streaming relation transport (network/async.h,
-// network/stream.h):
+// The paper's distributed protocols on the event-driven simulator
+// (network/async.h) with the streaming relation transport
+// (network/stream.h). The protocols themselves are written once in
+// schedule.h; this file supplies the clock that prices their steps in
+// simulated time:
 //
 //  * RunTrivialProtocolAsync    — every relation is *streamed* to the sink
 //                                 as fixed-size column-chunk pages under the
@@ -8,32 +10,22 @@
 //                                 the reassembled relations.
 //  * RunCoreForestProtocolAsync — the Theorem 4.1/5.2 star elimination as a
 //                                 dependency DAG of simulated events: each
-//                                 star broadcasts its center relation to the
-//                                 remote leaf owners as a stream, leaves
-//                                 compute their functional messages
-//                                 (Corollary G.2 push-down) and stream them
-//                                 back, and the center folds them in. Stars
-//                                 in disjoint subtrees overlap in simulated
-//                                 time, and every transfer overlaps with
-//                                 whatever local kernel work is ready —
-//                                 the communication/computation overlap the
-//                                 synchronous round ledger cannot express.
+//                                 star streams its center relation to the
+//                                 remote leaf owners, leaves compute their
+//                                 messages and stream them back, and the
+//                                 center folds them in. Stars in disjoint
+//                                 subtrees overlap in simulated time, and
+//                                 every transfer overlaps with whatever local
+//                                 kernel work is ready — the communication/
+//                                 computation overlap the round ledger
+//                                 cannot express.
 //
-// The synchronous protocols (distributed.h) stay the paper-faithful oracle:
-// both async protocols construct the same decomposition (same
-// width_restarts/seed defaults), run the same kernel operations on the same
-// operands in the same order, and ship relations through a transport whose
-// reassembly is bit-exact, so answers are bit-identical — per column and per
-// annotation bit pattern — to RunTrivialProtocol / RunCoreForestProtocol at
-// every parallelism level and page budget. What changes is the cost model:
-// ProtocolStats reports a continuous makespan, actual transferred bits
-// (pages + framing + credits), peak in-flight pages, and per-edge
-// utilization instead of a round count.
-//
-// Local kernel work runs through the shared ExecContext: with parallelism
-// > 1 every join/elimination a node "computes" fans out into morsels on the
-// process-wide WorkerPool (docs/kernel.md), exactly as in the sync
-// protocols.
+// Answers are bit-identical — per column and per annotation bit pattern —
+// to RunTrivialProtocol / RunCoreForestProtocol at every parallelism level
+// and page budget: the schedule is the same, and the reassembly is bit-exact.
+// What changes is the cost model: ProtocolStats reports a continuous
+// makespan, actual transferred bits (pages + framing + credits), peak
+// in-flight pages, and per-edge utilization instead of a round count.
 #ifndef TOPOFAQ_PROTOCOLS_ASYNC_H_
 #define TOPOFAQ_PROTOCOLS_ASYNC_H_
 
@@ -41,16 +33,14 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "faq/solvers.h"
-#include "ghd/width.h"
 #include "network/async.h"
 #include "network/stream.h"
-#include "protocols/distributed.h"
-#include "protocols/instance.h"
+#include "protocols/schedule.h"
 
 namespace topofaq {
 
@@ -58,445 +48,186 @@ namespace topofaq {
 struct AsyncProtocolOptions {
   /// Streaming transport knobs (page size, per-node page budget, framing).
   StreamOptions stream;
-  /// Channel model. bandwidth_bits <= 0 derives the per-edge bandwidth from
-  /// the instance's capacity_bits — one synchronous round's budget per time
-  /// unit — so makespans are directly comparable to the round ledger's
-  /// round counts; latency defaults to 1 (one "round" per hop).
-  LinkParams link{1.0, 0.0};
   /// Kernel parallelism for the simulated local computations (same knob as
   /// CoreForestOptions::parallelism / TrivialOptions::parallelism).
   int parallelism = 0;
-  /// Decomposition search knobs — defaults match CoreForestOptions, which is
-  /// what makes async-vs-sync answers comparable star for star.
-  int width_restarts = 8;
-  uint64_t seed = 0xfa0;
-  /// Simulated cost of local kernel work: time units per input row of each
-  /// compute task. 0 (default) makes compute free in simulated time, so the
-  /// makespan is pure transport; the *real* kernel work still runs (and is
-  /// what the answer is computed from).
-  double compute_time_per_row = 0.0;
   /// Span sink for the simulated timeline (obs/trace.h). When non-null, the
-  /// run exports link transfers (via AsyncNetwork::set_trace) plus one span
-  /// per scheduled compute task — stage name, on a per-player "node N"
-  /// track, [schedule time, schedule time + simulated compute cost] — all in
-  /// the simulated clock domain (pid 2 of the Chrome export). Spans on one
-  /// node's track may overlap: a player can have several leaf computations
-  /// in flight at once, which is exactly the concurrency worth seeing.
-  /// Borrowed; must outlive the call.
+  /// run exports link transfers (via AsyncNetwork::set_trace) plus one
+  /// zero-length span per scheduled compute task — stage name, on a
+  /// per-player "node N" track, at its schedule time — all in the simulated
+  /// clock domain (pid 2 of the Chrome export). Borrowed; must outlive the
+  /// call.
   obs::TraceSession* trace = nullptr;
 };
 
-namespace internal {
-
-/// Copies the async run's observables into ProtocolStats.
-inline void FillAsyncStats(const AsyncNetwork& net, int64_t pages,
-                           int64_t peak_pages, int64_t payload_bits_encoded,
-                           int64_t payload_bits_plain, ProtocolStats* st) {
-  st->makespan = net.makespan();
-  st->total_bits = net.total_bits();
-  st->pages = pages;
-  st->max_in_flight_pages = peak_pages;
-  st->payload_bits_encoded = payload_bits_encoded;
-  st->payload_bits_plain = payload_bits_plain;
-  st->edge_utilization = net.EdgeUtilization();
-  st->max_edge_utilization = 0.0;
-  for (double u : st->edge_utilization)
-    st->max_edge_utilization = std::max(st->max_edge_utilization, u);
-}
-
-/// Per-player compute-span emitter for the async protocols: one lazily
-/// registered simulated-domain "node N" track per player, one span per
-/// scheduled compute task (interval = [schedule time, + simulated cost],
-/// args = the row count the cost was derived from). Every method is a no-op
-/// when constructed with a null session.
-class NodeComputeTracer {
+/// Prices schedule steps on the event simulator. Every channel gets one
+/// synchronous round's budget per time unit and a latency of one unit per
+/// hop, so makespans are directly comparable to round counts. Compute tasks
+/// cost no simulated time but still go through the event heap, so they
+/// interleave with transfers in event order. Transfers deliver the
+/// reassembled relation.
+template <CommutativeSemiring S>
+class EventClock {
  public:
-  NodeComputeTracer(obs::TraceSession* t, int num_nodes) : trace_(t) {
-    if (t != nullptr) tracks_.assign(static_cast<size_t>(num_nodes), 0);
+  /// The streaming transport cuts sorted pages from its sources, so the
+  /// event clock requires canonical input relations — surfaced as a Status
+  /// rather than a CHECK crash mid-simulation. (The ledger accepts unsorted
+  /// listings; it never pages anything.)
+  static Status Check(const DistInstance<S>& inst, const DistDerived&) {
+    for (const Relation<S>& r : inst.query.relations)
+      if (!r.canonical())
+        return Status::InvalidArgument(
+            "async protocols stream relations page by page and require "
+            "canonical inputs — call Relation::Canonicalize() first (the "
+            "synchronous protocols accept unsorted listings)");
+    return Status::Ok();
   }
 
-  void Emit(const char* stage, NodeId node, double start, double dur,
-            size_t rows) {
-    if (trace_ == nullptr) return;
-    uint32_t& slot = tracks_[static_cast<size_t>(node)];
-    if (slot == 0)
-      slot = trace_->RegisterTrack("node " + std::to_string(node),
-                                   obs::ClockDomain::kSimulated) +
-             1;
-    char args[48];
-    std::snprintf(args, sizeof(args), "{\"rows\":%zu}", rows);
-    trace_->Emit(stage, slot - 1, obs::ClockDomain::kSimulated, start, dur,
-                 args);
+  EventClock(const DistInstance<S>& inst, const DistDerived& d,
+             const AsyncProtocolOptions& opts)
+      : net_(inst.topology,
+             LinkParams{1.0, static_cast<double>(d.capacity_bits)}),
+        streams_(&net_, opts.stream),
+        bits_per_attr_(d.bits_per_attr),
+        trace_(opts.trace) {
+    if (trace_ != nullptr) {
+      net_.set_trace(trace_);
+      tracks_.assign(static_cast<size_t>(inst.topology.num_nodes()), 0);
+    }
+  }
+
+  void Compute(const char* stage, NodeId node, size_t rows,
+               std::function<void()> fn) {
+    if (trace_ != nullptr) {
+      uint32_t& slot = tracks_[static_cast<size_t>(node)];
+      if (slot == 0)
+        slot = trace_->RegisterTrack("node " + std::to_string(node),
+                                     obs::ClockDomain::kSimulated) +
+               1;
+      char args[48];
+      std::snprintf(args, sizeof(args), "{\"rows\":%zu}", rows);
+      trace_->Emit(stage, slot - 1, obs::ClockDomain::kSimulated, net_.now(),
+                   0.0, args);
+    }
+    net_.ScheduleAfter(0, std::move(fn));
+  }
+
+  /// src == dst delivers at once; otherwise the relation streams from a
+  /// copy the clock holds until the last page is consumed.
+  void Send(NodeId src, NodeId dst, Relation<S> rel, Delivery<S> done) {
+    if (src == dst) {
+      done(std::move(rel));
+      return;
+    }
+    auto held = std::make_shared<const Relation<S>>(std::move(rel));
+    streams_.SendRelation(src, dst, *held, bits_per_attr_,
+                          [held, done = std::move(done)](Relation<S> r) {
+                            done(std::move(r));
+                          });
+  }
+
+  void Gather(std::vector<GatherPart<S>> parts, NodeId sink,
+              std::function<void(std::vector<Relation<S>>)> done) {
+    struct State {
+      std::vector<Relation<S>> delivered;
+      size_t pending;
+      std::function<void(std::vector<Relation<S>>)> done;
+    };
+    auto st = std::make_shared<State>(
+        State{std::vector<Relation<S>>(parts.size()), parts.size(),
+              std::move(done)});
+    for (size_t i = 0; i < parts.size(); ++i)
+      Send(parts[i].owner, sink, std::move(parts[i].rel),
+           [st, i](Relation<S> r) {
+             st->delivered[i] = std::move(r);
+             if (--st->pending == 0) st->done(std::move(st->delivered));
+           });
+  }
+
+  /// One broadcast stream per remote leaf owner (Algorithm 1 step 3, as
+  /// actual paged bytes), after which that owner's leaves compute their
+  /// messages. Local leaves — and every leaf when the center is empty,
+  /// where the ledger also skips the broadcast — start at once.
+  void Exchange(StarStep<S> star) {
+    struct State {
+      StarStep<S> star;
+      std::vector<Relation<S>> messages;
+      size_t pending;
+    };
+    const size_t n = star.leaf_owners.size();
+    auto st = std::make_shared<State>(
+        State{std::move(star), std::vector<Relation<S>>(n), n});
+    const StarStep<S>& s = st->star;
+    // Leaf k computes its message at its owner and sends it to the center
+    // owner; the last message to arrive completes the exchange.
+    auto leaf = [this, st](size_t k) {
+      const NodeId owner = st->star.leaf_owners[k];
+      Compute("compute_message", owner, st->star.leaf_rows[k],
+              [this, st, k, owner] {
+                Send(owner, st->star.center_owner, st->star.leaf_message(k),
+                     [st, k](Relation<S> m) {
+                       st->messages[k] = std::move(m);
+                       if (--st->pending == 0)
+                         st->star.done(std::move(st->messages));
+                     });
+              });
+    };
+    std::map<NodeId, std::vector<size_t>> by_owner;
+    for (size_t k = 0; k < n; ++k) by_owner[s.leaf_owners[k]].push_back(k);
+    const bool broadcast = !s.center_rel->empty();
+    for (const auto& [owner, kids] : by_owner) {
+      if (owner == s.center_owner || !broadcast) {
+        for (size_t k : kids) leaf(k);
+        continue;
+      }
+      // The delivered copy only models the broadcast's bytes; leaves
+      // compute their messages from their own state.
+      streams_.SendRelation(s.center_owner, owner, *s.center_rel,
+                            bits_per_attr_, [leaf, kids](Relation<S>) {
+                              for (size_t k : kids) leaf(k);
+                            });
+    }
+  }
+
+  void Run() { net_.Run(); }
+
+  void Fill(ProtocolStats* st) const {
+    st->makespan = net_.makespan();
+    st->total_bits = net_.total_bits();
+    st->pages = streams_.pages_shipped();
+    st->max_in_flight_pages = streams_.max_in_flight_pages();
+    st->payload_bits_encoded = streams_.payload_bits_encoded();
+    st->payload_bits_plain = streams_.payload_bits_plain();
+    st->edge_utilization = net_.EdgeUtilization();
+    st->max_edge_utilization = 0.0;
+    for (double u : st->edge_utilization)
+      st->max_edge_utilization = std::max(st->max_edge_utilization, u);
   }
 
  private:
+  AsyncNetwork net_;
+  StreamNet<S> streams_;
+  int bits_per_attr_;
   obs::TraceSession* trace_;
-  std::vector<uint32_t> tracks_;  // track id + 1; 0 = not yet registered
+  std::vector<uint32_t> tracks_;  // per node: track id + 1; 0 = unregistered
 };
 
-/// Effective link parameters: the configured ones, with bandwidth derived
-/// from the instance's per-round budget when unset.
-inline LinkParams ResolveLink(const AsyncProtocolOptions& opts,
-                              int64_t capacity_bits) {
-  LinkParams link = opts.link;
-  if (link.bandwidth_bits <= 0)
-    link.bandwidth_bits = static_cast<double>(capacity_bits);
-  return link;
-}
-
-/// The streaming transport cuts sorted pages from its sources, so the async
-/// protocols require canonical input relations — surfaced as a Status here
-/// rather than a CHECK crash mid-simulation. (The synchronous protocols
-/// accept unsorted listings; they never page anything.)
-template <CommutativeSemiring S>
-Status ValidateCanonicalInputs(const DistInstance<S>& inst) {
-  for (const Relation<S>& r : inst.query.relations)
-    if (!r.canonical())
-      return Status::InvalidArgument(
-          "async protocols stream relations page by page and require "
-          "canonical inputs — call Relation::Canonicalize() first (the "
-          "synchronous protocols accept unsorted listings)");
-  return Status::Ok();
-}
-
-}  // namespace internal
-
 /// Lemma 3.1, streaming edition: pages every remote relation to the sink
-/// under the page budget, then solves over the reassembled inputs. The
-/// answer is bit-identical to RunTrivialProtocol's.
+/// under the page budget, then solves over the reassembled inputs.
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunTrivialProtocolAsync(
     const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {}) {
-  auto d = inst.Derived();
-  if (!d.ok()) return d.status();
-  TOPOFAQ_RETURN_IF_ERROR(internal::ValidateCanonicalInputs(inst));
-  AsyncNetwork net(inst.topology, internal::ResolveLink(opts, d->capacity_bits));
-  if (opts.trace != nullptr) net.set_trace(opts.trace);
-  internal::NodeComputeTracer ntrace(opts.trace, inst.topology.num_nodes());
-  StreamNet<S> streams(&net, opts.stream);
-  ExecContext ctx;
-  if (opts.parallelism > 0) ctx.parallelism = opts.parallelism;
-
-  const int ne = inst.query.hypergraph.num_edges();
-  std::vector<Relation<S>> at_sink(ne);
-  int pending = 0;
-  Status task_status = Status::Ok();
-  bool solved = false;
-  ProtocolResult<S> out;
-
-  // The sink's solve task: scheduled (with the simulated compute cost) once
-  // the last stream completes. It consumes the *reassembled* relations, so
-  // this path also proves the transport lossless end to end.
-  auto solve = [&] {
-    size_t rows = 0;
-    for (const Relation<S>& r : at_sink) rows += r.size();
-    const double delay =
-        opts.compute_time_per_row * static_cast<double>(rows);
-    ntrace.Emit("solve", inst.sink, net.now(), delay, rows);
-    net.ScheduleAfter(delay,
-                      [&] {
-                        FaqQuery<S> q;
-                        q.hypergraph = inst.query.hypergraph;
-                        q.relations = std::move(at_sink);
-                        q.free_vars = inst.query.free_vars;
-                        q.var_ops = inst.query.var_ops;
-                        auto a = BruteForceSolve(q, &ctx);
-                        if (!a.ok()) {
-                          task_status = a.status();
-                          return;
-                        }
-                        out.answer = std::move(a.value());
-                        solved = true;
-                      });
-  };
-
-  for (int e = 0; e < ne; ++e) {
-    if (inst.owners[e] == inst.sink) {
-      at_sink[e] = inst.query.relations[e];
-      continue;
-    }
-    ++pending;
-    streams.SendRelation(inst.owners[e], inst.sink, inst.query.relations[e],
-                         d->bits_per_attr, [&, e](Relation<S> r) {
-                           at_sink[e] = std::move(r);
-                           if (--pending == 0) solve();
-                         });
-  }
-  if (pending == 0) solve();
-
-  net.Run();
-  TOPOFAQ_RETURN_IF_ERROR(task_status);
-  TOPOFAQ_CHECK_MSG(solved, "async trivial protocol did not complete");
-  internal::FillAsyncStats(net, streams.pages_shipped(),
-                           streams.max_in_flight_pages(),
-                           streams.payload_bits_encoded(),
-                           streams.payload_bits_plain(), &out.stats);
-  out.stats.kernel = ctx.Totals();
-  return out;
+  return internal::RunSchedule<EventClock<S>>(inst, /*core_forest=*/false,
+                                              opts.parallelism, opts);
 }
 
-/// The Theorem 4.1 / 5.2 protocol as an event-driven star DAG. Same
-/// decomposition, same local kernel operations in the same order as
-/// RunCoreForestProtocol — bit-identical answers — with streaming transfers,
-/// per-node page budgets, and makespan accounting instead of rounds.
+/// The Theorem 4.1 / 5.2 protocol as an event-driven star DAG, with
+/// streaming transfers, per-node page budgets, and makespan accounting.
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunCoreForestProtocolAsync(
     const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {}) {
-  auto d = inst.Derived();
-  if (!d.ok()) return d.status();
-  TOPOFAQ_RETURN_IF_ERROR(internal::ValidateCanonicalInputs(inst));
-  // Shared with RunCoreForestProtocol (one definition each), so both modes
-  // process the same stars from the same initial state.
-  auto w = internal::CoreForestDecomposition(inst.query, opts.width_restarts,
-                                             opts.seed);
-  if (!w.ok()) return w.status();
-  const Ghd& ghd = w->decomposition.ghd;
-
-  AsyncNetwork net(inst.topology, internal::ResolveLink(opts, d->capacity_bits));
-  if (opts.trace != nullptr) net.set_trace(opts.trace);
-  internal::NodeComputeTracer ntrace(opts.trace, inst.topology.num_nodes());
-  StreamNet<S> streams(&net, opts.stream);
-  ExecContext ctx;
-  if (opts.parallelism > 0) ctx.parallelism = opts.parallelism;
-
-  const int n_nodes = ghd.num_nodes();
-  std::vector<Relation<S>> state;
-  std::vector<NodeId> node_owner;
-  std::vector<bool> removed(n_nodes, false);
-  internal::InitGhdState(inst, ghd, &state, &node_owner);
-  const bool root_is_relation = ghd.node(ghd.root()).edge_id >= 0;
-
-  // The star DAG. Each internal GHD node is one star step (the sync
-  // protocol's loop body); a star can start once the stars of its internal
-  // children have folded their subtrees, so disjoint subtrees run
-  // concurrently in simulated time.
-  struct Star {
-    int center = -1;
-    std::vector<int> kids;
-    int deps = 0;              // unfinished child stars
-    int messages_pending = 0;  // leaf messages not yet at the center owner
-    std::vector<Relation<S>> msg_local;      // computed at the leaf (stream
-                                             // sources; alive while in flight)
-    std::vector<Relation<S>> msg_at_center;  // as delivered, kid order
-    std::vector<int> dependents;             // star indices waiting on this
-  };
-  std::vector<Star> stars;
-  std::vector<int> star_of(n_nodes, -1);
-  for (int center : ghd.BottomUpOrder()) {
-    if (center == ghd.root() && !root_is_relation) break;
-    if (ghd.node(center).children.empty()) continue;
-    Star s;
-    s.center = center;
-    s.kids = ghd.node(center).children;
-    star_of[center] = static_cast<int>(stars.size());
-    stars.push_back(std::move(s));
-  }
-  for (size_t i = 0; i < stars.size(); ++i)
-    for (int c : stars[i].kids)
-      if (star_of[c] >= 0) {
-        ++stars[i].deps;
-        stars[star_of[c]].dependents.push_back(static_cast<int>(i));
-      }
-
-  int stars_done = 0;
-  bool finished = false;
-  ProtocolResult<S> out;
-  Relation<S> final_acc;                 // root answer, alive while streamed
-  std::vector<Relation<S>> gather_parts; // core-bag gather, sync's at_sink
-  int gather_pending = 0;
-
-  // Every node-local kernel task goes through here, so this is also the one
-  // compute-span site: `stage` names the protocol step, `node` the player
-  // whose simulated track the span lands on.
-  auto schedule_compute = [&](const char* stage, NodeId node, size_t rows,
-                              std::function<void()> fn) {
-    const double delay =
-        opts.compute_time_per_row * static_cast<double>(rows);
-    ntrace.Emit(stage, node, net.now(), delay, rows);
-    net.ScheduleAfter(delay, std::move(fn));
-  };
-
-  // Mutually recursive stages, declared up front so any of them can chain
-  // to any other from inside an event callback.
-  std::function<void(int)> start_star;
-  std::function<void(int, size_t)> compute_message;
-  std::function<void(int, size_t, Relation<S>)> on_message;
-  std::function<void(int)> star_join;
-  std::function<void()> finish;
-  std::function<void()> solve_core;
-
-  // Leaf side of one star: aggregate out the private bound variables
-  // (Corollary G.2) and stream the functional message to the center owner.
-  compute_message = [&](int i, size_t k) {
-    const int c = stars[i].kids[k];
-    schedule_compute("compute_message", node_owner[c], state[c].size(),
-                     [&, i, k, c] {
-      Star& s = stars[i];
-      const NodeId co = node_owner[s.center];
-      const Schema& center_schema = state[s.center].schema();
-      std::vector<VarId> private_vars;
-      for (VarId x : state[c].schema().vars())
-        if (!center_schema.Contains(x)) private_vars.push_back(x);
-      Relation<S> msg =
-          internal::EliminateAll(state[c], private_vars, inst.query, &ctx);
-      removed[c] = true;
-      if (node_owner[c] != co) {
-        s.msg_local[k] = std::move(msg);
-        streams.SendRelation(node_owner[c], co, s.msg_local[k],
-                             d->bits_per_attr, [&, i, k](Relation<S> m) {
-                               on_message(i, k, std::move(m));
-                             });
-      } else {
-        on_message(i, k, std::move(msg));
-      }
-    });
-  };
-
-  on_message = [&](int i, size_t k, Relation<S> m) {
-    Star& s = stars[i];
-    s.msg_at_center[k] = std::move(m);
-    if (--s.messages_pending == 0) star_join(i);
-  };
-
-  // Center side: fold the messages in kid order — the exact join sequence
-  // of the sync protocol — then release dependent stars.
-  star_join = [&](int i) {
-    size_t rows = state[stars[i].center].size();
-    for (const Relation<S>& m : stars[i].msg_at_center) rows += m.size();
-    schedule_compute("star_join", node_owner[stars[i].center], rows, [&, i] {
-      Star& s = stars[i];
-      for (size_t k = 0; k < s.kids.size(); ++k)
-        state[s.center] = Join(state[s.center], s.msg_at_center[k], &ctx);
-      s.msg_local.clear();
-      s.msg_at_center.clear();
-      ++stars_done;
-      for (int dep : s.dependents)
-        if (--stars[dep].deps == 0) start_star(dep);
-      if (stars_done == static_cast<int>(stars.size())) finish();
-    });
-  };
-
-  start_star = [&](int i) {
-    Star& s = stars[i];
-    const NodeId co = node_owner[s.center];
-    s.messages_pending = static_cast<int>(s.kids.size());
-    s.msg_local.resize(s.kids.size());
-    s.msg_at_center.resize(s.kids.size());
-    // Kid indices grouped by owning player: one broadcast stream per remote
-    // owner (Algorithm 1 step 3 — here as actual paged bytes), after which
-    // that owner's leaves compute their messages. Local leaves (and every
-    // leaf when the center is empty, where the sync protocol also skips the
-    // broadcast) start at once.
-    std::map<NodeId, std::vector<size_t>> by_owner;
-    for (size_t k = 0; k < s.kids.size(); ++k)
-      by_owner[node_owner[s.kids[k]]].push_back(k);
-    const bool broadcast = !state[s.center].empty();
-    for (const auto& [owner, kid_idx] : by_owner) {
-      if (owner == co || !broadcast) {
-        for (size_t k : kid_idx) compute_message(i, k);
-      } else {
-        streams.SendRelation(co, owner, state[s.center], d->bits_per_attr,
-                             [&, i, kid_idx](Relation<S>) {
-                               // The delivered copy only models the
-                               // broadcast's bytes; leaves compute messages
-                               // from their own state (see compute_message).
-                               for (size_t k : kid_idx) compute_message(i, k);
-                             });
-      }
-    }
-  };
-
-  // Residual core at the sink (Lemma 4.2 / F.2): join-and-eliminate the
-  // gathered survivors, exactly the sync finish.
-  solve_core = [&] {
-    size_t rows = 0;
-    for (const Relation<S>& r : gather_parts) rows += r.size();
-    schedule_compute("solve_core", inst.sink, rows, [&] {
-      Relation<S> acc =
-          internal::JoinAndEliminate(std::move(gather_parts), inst.query, &ctx);
-      acc = Project(acc, inst.query.free_vars, &ctx);
-      out.answer = std::move(acc);
-      finished = true;
-    });
-  };
-
-  finish = [&] {
-    if (root_is_relation) {
-      const NodeId ro = node_owner[ghd.root()];
-      schedule_compute("finish", ro, state[ghd.root()].size(), [&, ro] {
-        Relation<S> acc = std::move(state[ghd.root()]);
-        std::vector<VarId> bound;
-        for (VarId v : acc.schema().vars())
-          if (std::find(inst.query.free_vars.begin(),
-                        inst.query.free_vars.end(),
-                        v) == inst.query.free_vars.end())
-            bound.push_back(v);
-        acc = internal::EliminateAll(std::move(acc), bound, inst.query, &ctx);
-        acc = Project(acc, inst.query.free_vars, &ctx);
-        if (ro != inst.sink) {
-          final_acc = std::move(acc);
-          streams.SendRelation(ro, inst.sink, final_acc, d->bits_per_attr,
-                               [&](Relation<S> a) {
-                                 out.answer = std::move(a);
-                                 finished = true;
-                               });
-        } else {
-          out.answer = std::move(acc);
-          finished = true;
-        }
-      });
-      return;
-    }
-    // Synthetic core bag: stream the surviving root children to the sink.
-    std::vector<int> gather_nodes;
-    for (int c : ghd.node(ghd.root()).children)
-      if (!removed[c]) gather_nodes.push_back(c);
-    gather_parts.resize(gather_nodes.size());
-    gather_pending = 0;
-    for (int c : gather_nodes)
-      if (node_owner[c] != inst.sink) ++gather_pending;
-    for (size_t idx = 0; idx < gather_nodes.size(); ++idx) {
-      const int c = gather_nodes[idx];
-      if (node_owner[c] == inst.sink) {
-        gather_parts[idx] = state[c];
-        continue;
-      }
-      streams.SendRelation(node_owner[c], inst.sink, state[c],
-                           d->bits_per_attr, [&, idx](Relation<S> r) {
-                             gather_parts[idx] = std::move(r);
-                             if (--gather_pending == 0) solve_core();
-                           });
-    }
-    if (gather_pending == 0) solve_core();
-  };
-
-  // Kick off every dependency-free star; a star-less decomposition (single
-  // bag) goes straight to the finish.
-  if (stars.empty()) {
-    finish();
-  } else {
-    for (size_t i = 0; i < stars.size(); ++i)
-      if (stars[i].deps == 0) start_star(static_cast<int>(i));
-  }
-
-  net.Run();
-  TOPOFAQ_CHECK_MSG(finished, "async core-forest protocol did not complete");
-  internal::FillAsyncStats(net, streams.pages_shipped(),
-                           streams.max_in_flight_pages(),
-                           streams.payload_bits_encoded(),
-                           streams.payload_bits_plain(), &out.stats);
-  out.stats.kernel = ctx.Totals();
-  return out;
-}
-
-/// BCQ wrapper over the async structured protocol.
-inline Result<bool> RunBcqProtocolAsync(
-    const DistInstance<BooleanSemiring>& inst, ProtocolStats* stats = nullptr,
-    const AsyncProtocolOptions& opts = {}) {
-  auto r = RunCoreForestProtocolAsync(inst, opts);
-  if (!r.ok()) return r.status();
-  if (stats != nullptr) *stats = r->stats;
-  return !r->answer.empty();
+  return internal::RunSchedule<EventClock<S>>(inst, /*core_forest=*/true,
+                                              opts.parallelism, opts);
 }
 
 }  // namespace topofaq

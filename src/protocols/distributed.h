@@ -1,32 +1,34 @@
-// The paper's distributed protocols, executed against the SyncNetwork
-// transport ledger:
+// The paper's distributed protocols on the Model 2.1 round ledger
+// (SyncNetwork). The protocols themselves are written once in schedule.h;
+// this file supplies the clock that prices their steps in rounds:
 //
 //  * RunTrivialProtocol    — ship every relation to the sink and solve
 //                            locally (Lemma 3.1, cost τ_MCF).
 //  * RunCoreForestProtocol — the main upper bound (Theorems 4.1 / 5.2,
-//                            Algorithms 1–3): process the GYO-GHD bottom-up;
-//                            each star is one broadcast of the center
-//                            relation plus one aggregated set-intersection
-//                            over a packed family of edge-disjoint Steiner
-//                            trees (Theorem 3.11); the leftover core is
-//                            finished with the trivial protocol.
+//                            Algorithms 1–3): each star is one broadcast of
+//                            the center relation plus one aggregated
+//                            set-intersection over a packed family of
+//                            edge-disjoint Steiner trees (Theorem 3.11); the
+//                            leftover core is finished with the trivial
+//                            protocol.
 //
-// Transport is simulated round-by-round with exact capacity accounting;
-// relation payloads are computed at the owning node exactly when the
-// simulated transfer completes, so answers are bit-identical — per column
-// and per annotation bit pattern, the columnar kernel's determinism
-// contract (docs/kernel.md) — to the centralized solvers while round
-// counts reflect Model 2.1.
+// Transport is simulated round by round with exact capacity accounting;
+// relation payloads are computed at the owning node, so answers are
+// bit-identical — per column and per annotation bit pattern, the columnar
+// kernel's determinism contract (docs/kernel.md) — to the centralized
+// solvers while round counts reflect Model 2.1.
 #ifndef TOPOFAQ_PROTOCOLS_DISTRIBUTED_H_
 #define TOPOFAQ_PROTOCOLS_DISTRIBUTED_H_
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <utility>
+#include <vector>
 
-#include "faq/solvers.h"
-#include "ghd/width.h"
 #include "network/primitives.h"
 #include "network/simulator.h"
-#include "protocols/instance.h"
+#include "protocols/schedule.h"
 
 namespace topofaq {
 
@@ -38,262 +40,127 @@ struct TrivialOptions {
   int parallelism = 0;
 };
 
-/// Lemma 3.1: gather all relations at the sink, solve centrally.
-template <CommutativeSemiring S>
-Result<ProtocolResult<S>> RunTrivialProtocol(const DistInstance<S>& inst,
-                                             const TrivialOptions& opts = {}) {
-  auto d = inst.Derived();
-  if (!d.ok()) return d.status();
-  auto net = SyncNetwork::Create(inst.topology, d->capacity_bits);
-  if (!net.ok()) return net.status();
-
-  std::vector<FlowDemand> demands;
-  for (int e = 0; e < inst.query.hypergraph.num_edges(); ++e)
-    if (inst.owners[e] != inst.sink)
-      demands.push_back({inst.owners[e],
-                         inst.query.relations[e].EncodedBits(d->bits_per_attr)});
-  int64_t finish =
-      demands.empty() ? 0 : GatherFlows(&net.value(), demands, inst.sink, 0);
-
-  ExecContext ctx;
-  if (opts.parallelism > 0) ctx.parallelism = opts.parallelism;
-  auto answer = BruteForceSolve(inst.query, &ctx);
-  if (!answer.ok()) return answer.status();
-  ProtocolResult<S> out;
-  out.answer = std::move(answer.value());
-  out.stats.rounds = finish;
-  out.stats.total_bits = net->total_bits();
-  out.stats.kernel = ctx.Totals();
-  return out;
-}
-
-namespace internal {
-
-/// Picks, for each Steiner tree in the plan, the convergecast root: the
-/// plan's trees all span K_star, and the center owner is a terminal, so it
-/// roots every tree.
-inline std::vector<RootedTree> OrientAll(const Graph& g,
-                                         const std::vector<SteinerTree>& trees,
-                                         NodeId root) {
-  std::vector<RootedTree> out;
-  out.reserve(trees.size());
-  for (const auto& t : trees) out.push_back(OrientTree(g, t.edges, root));
-  return out;
-}
-
-/// The decomposition both execution modes of the structured protocol run on
-/// (RunCoreForestProtocol and RunCoreForestProtocolAsync share this single
-/// definition, so their star sequences — and hence their bit-identical
-/// answers — can never silently diverge): width-minimized, re-rooted so
-/// F ⊆ χ(root) when F is non-empty, with the Appendix G.5 precondition
-/// checked.
-template <CommutativeSemiring S>
-Result<WidthResult> CoreForestDecomposition(const FaqQuery<S>& q,
-                                            int width_restarts,
-                                            uint64_t seed) {
-  WidthResult w;
-  if (q.free_vars.empty()) {
-    w = width_restarts > 0 ? MinimizeWidth(q.hypergraph, width_restarts, seed)
-                           : ComputeWidth(q.hypergraph);
-  } else {
-    std::vector<VarId> f = q.free_vars;
-    std::sort(f.begin(), f.end());
-    auto rooted = MinimizeWidthWithRoot(q.hypergraph, f, width_restarts, seed);
-    if (!rooted.ok()) return rooted.status();
-    w = std::move(rooted.value());
-  }
-  const Ghd& ghd = w.decomposition.ghd;
-  const auto& root_chi = ghd.node(ghd.root()).chi;
-  for (VarId v : q.free_vars)
-    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-      return Status::FailedPrecondition(
-          "free variable outside V(C(H)) (Appendix G.5)");
-  return w;
-}
-
-/// Initial per-bag protocol state, shared by both execution modes: each GHD
-/// node starts with its relation (owned by that relation's player) or, for
-/// the synthetic core bag, the unit relation at the sink.
-template <CommutativeSemiring S>
-void InitGhdState(const DistInstance<S>& inst, const Ghd& ghd,
-                  std::vector<Relation<S>>* state,
-                  std::vector<NodeId>* node_owner) {
-  const int n_nodes = ghd.num_nodes();
-  state->resize(n_nodes);
-  node_owner->assign(n_nodes, inst.sink);
-  for (int v = 0; v < n_nodes; ++v) {
-    const int e = ghd.node(v).edge_id;
-    if (e >= 0) {
-      (*state)[v] = inst.query.relations[e];
-      (*node_owner)[v] = inst.owners[e];
-    } else {
-      (*state)[v] = UnitRelation<S>();
-    }
-  }
-}
-
-}  // namespace internal
-
 /// Options for the structured protocol.
 struct CoreForestOptions {
-  /// Width-minimization restarts (0: canonical decomposition only).
-  int width_restarts = 8;
-  uint64_t seed = 0xfa0;
   /// Kernel parallelism for the simulated local computations (morsel-parallel
   /// operators, docs/kernel.md). 0 inherits the process default
   /// (TOPOFAQ_PARALLELISM, else 1); answers are bit-identical either way.
   int parallelism = 0;
 };
 
+/// Prices schedule steps on the round ledger. Every phase starts at the
+/// previous phase's finish round and every primitive returns the round after
+/// its last transmission, so each phase sees an idle ledger: the round count
+/// is the sum of the phase lengths, whatever dependency order the stars run
+/// in. Transfers pass the sender's relation through.
+template <CommutativeSemiring S>
+class LedgerClock {
+ public:
+  static Status Check(const DistInstance<S>&, const DistDerived& d) {
+    return SyncNetwork::ValidateCapacity(d.capacity_bits);
+  }
+
+  LedgerClock(const DistInstance<S>& inst, const DistDerived& d)
+      : net_(inst.topology, d.capacity_bits), bits_per_attr_(d.bits_per_attr) {}
+
+  void Compute(const char*, NodeId, size_t, std::function<void()> fn) {
+    ready_.push_back(std::move(fn));
+  }
+
+  void Send(NodeId src, NodeId dst, Relation<S> rel, Delivery<S> done) {
+    if (src != dst)
+      round_ = UnicastBits(
+          &net_, src, dst,
+          std::max<int64_t>(1, rel.EncodedBits(bits_per_attr_)), round_);
+    done(std::move(rel));
+  }
+
+  void Gather(std::vector<GatherPart<S>> parts, NodeId sink,
+              std::function<void(std::vector<Relation<S>>)> done) {
+    std::vector<FlowDemand> demands;
+    std::vector<Relation<S>> delivered;
+    for (GatherPart<S>& p : parts) {
+      if (p.owner != sink)
+        demands.push_back({p.owner, p.rel.EncodedBits(bits_per_attr_)});
+      delivered.push_back(std::move(p.rel));
+    }
+    if (!demands.empty()) round_ = GatherFlows(&net_, demands, sink, round_);
+    done(std::move(delivered));
+  }
+
+  /// One Steiner-tree packing serves both phases (all trees span K_star and
+  /// are rooted at the center owner): the broadcast of the center relation
+  /// flows down the trees in chunks, and the Theorem 3.11 combine flows up
+  /// as a pipelined convergecast of the |R_center| aggregated values.
+  void Exchange(StarStep<S> star) {
+    constexpr uint64_t kPlanSeed = 0xfa0;
+    const NodeId co = star.center_owner;
+    std::vector<NodeId> k_star{co};
+    for (NodeId o : star.leaf_owners)
+      if (o != co) k_star.push_back(o);
+    std::sort(k_star.begin(), k_star.end());
+    k_star.erase(std::unique(k_star.begin(), k_star.end()), k_star.end());
+    const int64_t center_bits = star.center_rel->EncodedBits(bits_per_attr_);
+    const int64_t n_items = static_cast<int64_t>(star.center_rel->size());
+    if (k_star.size() > 1 && n_items > 0) {
+      const int64_t star_bits = center_bits + n_items * S::kValueBits;
+      const int64_t plan_items = std::max<int64_t>(
+          1, CeilDiv(star_bits, net_.capacity_bits()));
+      IntersectionPlan plan = PlanIntersection(
+          net_.graph(), k_star, plan_items, kPlanSeed + star.center);
+      std::vector<RootedTree> trees;
+      for (const SteinerTree& t : plan.trees)
+        trees.push_back(OrientTree(net_.graph(), t.edges, co));
+      round_ = MultiTreeBroadcast(&net_, trees, center_bits, round_);
+      const int64_t chunk =
+          CeilDiv(n_items, static_cast<int64_t>(trees.size()));
+      int64_t finish = round_;
+      for (const RootedTree& tree : trees)
+        finish = std::max(finish, ConvergecastItems(&net_, tree, chunk,
+                                                    S::kValueBits, round_));
+      round_ = finish;
+    }
+    std::vector<Relation<S>> messages;
+    for (size_t k = 0; k < star.leaf_owners.size(); ++k)
+      messages.push_back(star.leaf_message(k));
+    star.done(std::move(messages));
+  }
+
+  void Run() {
+    while (!ready_.empty()) {
+      std::function<void()> fn = std::move(ready_.front());
+      ready_.pop_front();
+      fn();
+    }
+  }
+
+  void Fill(ProtocolStats* st) const {
+    st->rounds = round_;
+    st->total_bits = net_.total_bits();
+  }
+
+ private:
+  SyncNetwork net_;
+  int bits_per_attr_;
+  int64_t round_ = 0;
+  std::deque<std::function<void()>> ready_;
+};
+
+/// Lemma 3.1: gather all relations at the sink, solve centrally.
+template <CommutativeSemiring S>
+Result<ProtocolResult<S>> RunTrivialProtocol(const DistInstance<S>& inst,
+                                             const TrivialOptions& opts = {}) {
+  return internal::RunSchedule<LedgerClock<S>>(inst, /*core_forest=*/false,
+                                               opts.parallelism);
+}
+
 /// The Theorem 4.1 / 5.2 protocol. Works for any assignment of relations to
 /// players; requires F ⊆ V(C(H)) (Appendix G.5).
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunCoreForestProtocol(
     const DistInstance<S>& inst, const CoreForestOptions& opts = {}) {
-  auto d = inst.Derived();
-  if (!d.ok()) return d.status();
-  auto w = internal::CoreForestDecomposition(inst.query, opts.width_restarts,
-                                             opts.seed);
-  if (!w.ok()) return w.status();
-  const Ghd& ghd = w->decomposition.ghd;
-
-  auto created = SyncNetwork::Create(inst.topology, d->capacity_bits);
-  if (!created.ok()) return created.status();
-  SyncNetwork& net = created.value();
-  int64_t round = 0;
-  // One execution context for every local relational computation the
-  // protocol simulates: scratch buffers are reused across all star steps and
-  // the kernel counters are exported in the result's ProtocolStats. With
-  // opts.parallelism (or TOPOFAQ_PARALLELISM) > 1, every star's joins and
-  // eliminations fan out into morsels on the worker pool.
-  ExecContext ctx;
-  if (opts.parallelism > 0) ctx.parallelism = opts.parallelism;
-
-  // Node state: current relation + owning player.
-  const int n_nodes = ghd.num_nodes();
-  std::vector<Relation<S>> state;
-  std::vector<NodeId> node_owner;
-  std::vector<bool> removed(n_nodes, false);
-  internal::InitGhdState(inst, ghd, &state, &node_owner);
-  // Bottom-up star elimination (Lemma 4.1 / F.1): repeatedly take an
-  // internal node whose children are all leaves, run Algorithm 1/2/3 on that
-  // star. The root (whether a real relation or the synthetic core bag) is
-  // handled after the loop.
-  // The root is itself a star center when it carries a real relation (the
-  // acyclic case): Algorithm 2 applies there too. The synthetic core bag
-  // (cyclic H or a multi-component forest) is finished by the trivial
-  // protocol instead.
-  const bool root_is_relation = ghd.node(ghd.root()).edge_id >= 0;
-  auto order = ghd.BottomUpOrder();
-  for (int center : order) {
-    if (center == ghd.root() && !root_is_relation) break;
-    if (ghd.node(center).children.empty()) continue;
-    // BottomUpOrder guarantees children were already processed (their own
-    // subtrees are folded into them), so this is now a bottom star.
-    const auto& kids = ghd.node(center).children;
-
-    // Algorithm 1/2/3 star step. Participants: the center owner and the
-    // leaf owners.
-    std::vector<NodeId> leaf_owners;
-    for (int c : kids)
-      if (node_owner[c] != node_owner[center])
-        leaf_owners.push_back(node_owner[c]);
-    std::vector<NodeId> k_star{node_owner[center]};
-    k_star.insert(k_star.end(), leaf_owners.begin(), leaf_owners.end());
-    std::sort(k_star.begin(), k_star.end());
-    k_star.erase(std::unique(k_star.begin(), k_star.end()), k_star.end());
-
-    const int64_t center_bits = state[center].EncodedBits(d->bits_per_attr);
-    const int64_t n_items = static_cast<int64_t>(state[center].size());
-
-    if (k_star.size() > 1 && n_items > 0) {
-      // One Steiner-tree packing serves both phases (all trees span K_star
-      // and are rooted at the center owner): step 3's broadcast of the
-      // center relation flows *down* the trees in chunks, and the
-      // Theorem 3.11 combine flows *up* as a pipelined convergecast of the
-      // |R_center| aggregated values.
-      const int64_t star_bits = center_bits + n_items * S::kValueBits;
-      const int64_t plan_items =
-          std::max<int64_t>(1, CeilDiv(star_bits, d->capacity_bits));
-      IntersectionPlan plan = PlanIntersection(inst.topology, k_star, plan_items,
-                                               opts.seed + center);
-      auto rooted = internal::OrientAll(inst.topology, plan.trees,
-                                        node_owner[center]);
-      round = MultiTreeBroadcast(&net, rooted, center_bits, round);
-
-      // Leaves now hold the center relation; messages are computed locally
-      // (Corollary G.2 push-down of private bound variables), then combined
-      // on the way up.
-      const int64_t chunk = CeilDiv(n_items, static_cast<int64_t>(rooted.size()));
-      int64_t finish = round;
-      for (auto& tree : rooted)
-        finish = std::max(finish, ConvergecastItems(&net, tree, chunk,
-                                                    S::kValueBits, round));
-      round = finish;
-    }
-
-    // Functional leaf messages: relation over χ(center) ∩ χ(leaf) with
-    // private bound variables aggregated out.
-    std::vector<Relation<S>> messages;
-    for (int c : kids) {
-      const auto& center_schema = state[center].schema();
-      std::vector<VarId> private_vars;
-      for (VarId x : state[c].schema().vars())
-        if (!center_schema.Contains(x)) private_vars.push_back(x);
-      messages.push_back(
-          internal::EliminateAll(state[c], private_vars, inst.query, &ctx));
-      removed[c] = true;
-    }
-
-    // Functional update of the center relation (what the convergecast
-    // delivered): R'_center = R_center ⊗ Π_c message_c, elementwise over
-    // center tuples (message schemas are subsets of the center schema, so
-    // the center schema is preserved).
-    for (const auto& msg : messages)
-      state[center] = Join(state[center], msg, &ctx);
-  }
-
-  // Finish. If the root was a star center it now holds the fully reduced
-  // relation: eliminate remaining bound variables locally and route the
-  // answer to the sink. Otherwise (synthetic core bag) gather the surviving
-  // relations at the sink with the trivial protocol and solve the residual
-  // core there (Lemma 4.2 / F.2) — JoinAndEliminate routes a cyclic core
-  // through the worst-case-optimal MultiwayJoin, so the sink's local
-  // computation stays within the core's output size.
-  Relation<S> acc = internal::UnitRelation<S>();
-  if (root_is_relation) {
-    acc = std::move(state[ghd.root()]);
-    std::vector<VarId> bound;
-    for (VarId v : acc.schema().vars())
-      if (std::find(inst.query.free_vars.begin(), inst.query.free_vars.end(), v) ==
-          inst.query.free_vars.end())
-        bound.push_back(v);
-    acc = internal::EliminateAll(std::move(acc), bound, inst.query, &ctx);
-  } else {
-    std::vector<FlowDemand> demands;
-    std::vector<Relation<S>> at_sink;
-    for (int c : ghd.node(ghd.root()).children) {
-      if (removed[c]) continue;
-      if (node_owner[c] != inst.sink)
-        demands.push_back(
-            {node_owner[c], state[c].EncodedBits(d->bits_per_attr)});
-      at_sink.push_back(state[c]);
-    }
-    if (!demands.empty()) round = GatherFlows(&net, demands, inst.sink, round);
-    acc = internal::JoinAndEliminate(at_sink, inst.query, &ctx);
-  }
-  acc = Project(acc, inst.query.free_vars, &ctx);
-  if (root_is_relation && node_owner[ghd.root()] != inst.sink)
-    round = UnicastBits(&net, node_owner[ghd.root()], inst.sink,
-                        std::max<int64_t>(1, acc.EncodedBits(d->bits_per_attr)),
-                        round);
-
-  ProtocolResult<S> out;
-  out.answer = std::move(acc);
-  out.stats.rounds = round;
-  out.stats.total_bits = net.total_bits();
-  out.stats.kernel = ctx.Totals();
-  return out;
+  return internal::RunSchedule<LedgerClock<S>>(inst, /*core_forest=*/true,
+                                               opts.parallelism);
 }
 
 /// BCQ wrapper: runs the structured protocol, answer is satisfiability.

@@ -43,8 +43,8 @@ struct DistInstance {
   /// Validates shapes and computes the derived wire parameters without
   /// mutating the instance — every protocol calls this on a const
   /// reference, so running a protocol never deep-copies the relations. The
-  /// instance's own bits_per_attr / capacity_bits, when non-zero, pin the
-  /// derived values.
+  /// instance's own bits_per_attr / capacity_bits, when positive, pin the
+  /// derived values; negative ones are rejected.
   Result<DistDerived> Derived() const {
     TOPOFAQ_RETURN_IF_ERROR(query.Validate());
     if (static_cast<int>(owners.size()) != query.hypergraph.num_edges())
@@ -56,6 +56,9 @@ struct DistInstance {
       return Status::InvalidArgument("sink out of range");
     if (!topology.IsConnected())
       return Status::InvalidArgument("topology must be connected");
+    if (bits_per_attr < 0 || capacity_bits < 0)
+      return Status::InvalidArgument(
+          "pinned bits_per_attr and capacity_bits must be non-negative");
     DistDerived d;
     d.bits_per_attr =
         bits_per_attr != 0 ? bits_per_attr : BitsForDomain(query.DomainSize());

@@ -154,6 +154,26 @@ TEST(TrivialAsync, NonCanonicalInputIsRejectedWithStatus) {
   EXPECT_FALSE(RunCoreForestProtocolAsync(inst, SmallPageOptions()).ok());
 }
 
+TEST(TrivialAsync, NegativeWireParametersAreRejectedWithStatus) {
+  // A negative pinned capacity used to reach AsyncNetwork's bandwidth CHECK
+  // and abort; every protocol must answer with a Status instead.
+  for (int which = 0; which < 2; ++which) {
+    auto inst = RandomInstance<NaturalSemiring>(450, LineTopology(3));
+    if (which == 0)
+      inst.capacity_bits = -8;
+    else
+      inst.bits_per_attr = -1;
+    SCOPED_TRACE(which == 0 ? "capacity_bits" : "bits_per_attr");
+    for (const auto& r : {RunTrivialProtocolAsync(inst, SmallPageOptions()),
+                          RunCoreForestProtocolAsync(inst, SmallPageOptions()),
+                          RunTrivialProtocol(inst),
+                          RunCoreForestProtocol(inst)}) {
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 // ---------------------------------------------------------- core-forest async
 
 template <CommutativeSemiring S>

@@ -5,6 +5,7 @@
 
 #include "graphalg/topologies.h"
 #include "hypergraph/generators.h"
+#include "protocols/async.h"
 #include "protocols/distributed.h"
 #include "util/rng.h"
 
@@ -302,6 +303,91 @@ TEST(CoreForest, StatsAccumulateBits) {
   ASSERT_TRUE(res.ok());
   EXPECT_GT(res->stats.total_bits, 128);
   EXPECT_GT(res->stats.rounds, 0);
+}
+
+// ------------------------------------------------------ pinned exact costs
+
+/// Exact costs of both protocols on both clocks over fixed small instances.
+/// Rounds, bits, makespans and page counts are deterministic functions of
+/// the instance, so any drift is a cost-model change, not noise. The stream
+/// options are set explicitly so the TOPOFAQ_PAGE_BUDGET environment cannot
+/// move the event-clock counts.
+struct LedgerCost {
+  int64_t rounds;
+  int64_t total_bits;
+};
+struct EventCost {
+  double makespan;
+  int64_t total_bits;
+  int64_t pages;
+  int64_t max_in_flight_pages;
+};
+struct PinnedCosts {
+  LedgerCost trivial, forest;
+  EventCost trivial_async, forest_async;
+};
+
+void ExpectLedger(const Result<ProtocolResult<NaturalSemiring>>& r,
+                  const LedgerCost& want) {
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.rounds, want.rounds);
+  EXPECT_EQ(r->stats.total_bits, want.total_bits);
+}
+
+void ExpectEvent(const Result<ProtocolResult<NaturalSemiring>>& r,
+                 const EventCost& want) {
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_DOUBLE_EQ(r->stats.makespan, want.makespan);
+  EXPECT_EQ(r->stats.total_bits, want.total_bits);
+  EXPECT_EQ(r->stats.pages, want.pages);
+  EXPECT_EQ(r->stats.max_in_flight_pages, want.max_in_flight_pages);
+}
+
+TEST(ProtocolCosts, PinnedOnFixedInstances) {
+  struct Case {
+    const char* name;
+    Hypergraph h;
+    Graph g;
+    NodeId sink;
+    std::vector<VarId> free_vars;
+    PinnedCosts want;
+  };
+  const Case cases[] = {
+      {"star-4 on line-5", StarGraph(4), LineTopology(5), 4, {},
+       {{55, 9800},
+        {31, 5290},
+        {80.457142857142827, 13640, 16, 2},
+        {110.48571428571424, 11488, 19, 2}}},
+      {"path-4 on grid-3x3", PathGraph(4), GridTopology(3, 3), 8, {0},
+       {{29, 11620},
+        {65, 14926},
+        {84.457142857142827, 16228, 16, 2},
+        {150.74285714285705, 12026, 20, 2}}},
+      {"triangle on ring-6", CycleGraph(3), RingTopology(6), 0, {},
+       {{16, 4690},
+        {16, 4690},
+        {39.228571428571428, 4022, 8, 2},
+        {39.228571428571428, 4022, 8, 2}}},
+  };
+  AsyncProtocolOptions async;
+  async.stream.page_rows = 4;
+  async.stream.node_page_budget = 2;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(90);
+    std::vector<Relation<NaturalSemiring>> rels;
+    for (int e = 0; e < c.h.num_edges(); ++e)
+      rels.push_back(RandomRelation<NaturalSemiring>(c.h.edge(e), 16, 6, &rng));
+    DistInstance<NaturalSemiring> inst;
+    inst.query = MakeFaqSS<NaturalSemiring>(c.h, std::move(rels), c.free_vars);
+    inst.topology = c.g;
+    inst.owners = RoundRobinOwners(c.h.num_edges(), c.g.num_nodes());
+    inst.sink = c.sink;
+    ExpectLedger(RunTrivialProtocol(inst), c.want.trivial);
+    ExpectLedger(RunCoreForestProtocol(inst), c.want.forest);
+    ExpectEvent(RunTrivialProtocolAsync(inst, async), c.want.trivial_async);
+    ExpectEvent(RunCoreForestProtocolAsync(inst, async), c.want.forest_async);
+  }
 }
 
 }  // namespace
