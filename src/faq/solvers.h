@@ -5,11 +5,15 @@
 //    ground-truth oracle for tests.
 //  * YannakakisSolve — the GHD message-passing upward pass of Theorem G.3:
 //    O~(N) for acyclic H, with aggregate push-down (Corollary G.2) at every
-//    node; cyclic cores are finished at the root by the worst-case-optimal
-//    MultiwayJoin (relation/multiway.h) via JoinAndEliminate, so the peak
+//    node. Each node runs one step, internal::SolveNode, which the standing
+//    queries of ivm/standing_query.h share. The step picks its join plan
+//    from the node: an edge bag folds its children's messages with the
+//    pairwise Join (each message lies inside the bag, so no intermediate
+//    outgrows the edge), and the synthetic core bag of Construction 2.8 runs
+//    JoinAndEliminate, which sends the cyclic core through the
+//    worst-case-optimal MultiwayJoin (relation/multiway.h). The peak
 //    materialization there is the core's output, not a pairwise
-//    intermediate. This mirrors, step for step, what the distributed
-//    protocol computes.
+//    intermediate — the central twin of the protocols' core finish.
 //
 // Every solver threads one ExecContext through the sorted-relation kernel
 // (relation/ops.h): operators reuse the context's scratch buffers and
@@ -49,6 +53,15 @@ Relation<S> UnitRelation() {
   return r;
 }
 
+/// Variables of `sc` outside `keep` (any order), in schema order.
+inline std::vector<VarId> VarsOutside(const Schema& sc,
+                                      const std::vector<VarId>& keep) {
+  std::vector<VarId> out;
+  for (VarId x : sc.vars())
+    if (std::find(keep.begin(), keep.end(), x) == keep.end()) out.push_back(x);
+  return out;
+}
+
 /// Eliminates `vars` from r with each variable's own aggregate, batched:
 /// Eliminate() orders them descending (the Eq. (4) innermost-first order
 /// restricted to this bag) and groups once per run of equal aggregates.
@@ -61,8 +74,8 @@ Relation<S> EliminateAll(Relation<S> r, std::vector<VarId> vars,
   return Eliminate(std::move(r), std::move(vars), std::move(ops), ctx);
 }
 
-/// Joins a bag of relations and eliminates their bound variables, working
-/// one variable-connected component at a time.
+/// Joins a bag of relations and eliminates every variable outside `keep`,
+/// working one variable-connected component at a time.
 ///
 /// Correctness of the component reordering (Theorem G.1): components share
 /// no variables (hence no relations), so the ⊗-product of the inputs
@@ -82,6 +95,7 @@ Relation<S> EliminateAll(Relation<S> r, std::vector<VarId> vars,
 /// differential-test oracle for the multiway path (tests/multiway_test.cc).
 template <CommutativeSemiring S>
 Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
+                             const std::vector<VarId>& keep,
                              const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
   // Union-find over parts keyed by variable: each variable remembers the
   // first part it appeared in and every later occurrence unions with it —
@@ -114,15 +128,78 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
       part = UnitRelation<S>();
       for (Relation<S>& m : members) part = Join(part, m, ctx);
     }
-    std::vector<VarId> bound;
-    for (VarId v : part.schema().vars())
-      if (std::find(q.free_vars.begin(), q.free_vars.end(), v) ==
-          q.free_vars.end())
-        bound.push_back(v);
-    part = EliminateAll(std::move(part), bound, q, ctx);
+    std::vector<VarId> bound = VarsOutside(part.schema(), keep);
+    part = EliminateAll(std::move(part), std::move(bound), q, ctx);
     acc = Join(acc, part, ctx);  // disjoint schemas: scalar/cross combination
   }
   return acc;
+}
+
+/// One node step of the GHD upward pass (Theorem G.3): ⊗ the operands
+/// `parts` (in join order), then ⊕-eliminate every variable outside
+/// keep(v) — χ(parent(v)) below the root (Corollary G.2 push-down; RIP
+/// guarantees those variables occur nowhere else), F at the root, where the
+/// result is also projected to F's column order. The operands are the
+/// node's own relation (absent at a synthetic bag, whose input is the unit)
+/// and its children's messages; the ring propagation of
+/// ivm/standing_query.h passes a delta in place of one of them.
+///
+/// The join plan comes from the decomposition, never from an option:
+///  * an edge bag (edge_id >= 0) folds the operands with the pairwise Join.
+///    Every child message lies inside the bag (χ(c) ∩ χ(v) ⊆ χ(v)), so
+///    no intermediate of the chain can outgrow the edge's relation;
+///  * the synthetic core bag of Construction 2.8 (edge_id < 0) runs
+///    JoinAndEliminate, so the cyclic core goes through MultiwayJoin and no
+///    pairwise intermediate exceeds the core's worst-case output size. Its
+///    operands are copied in: MultiwayJoin consumes its inputs.
+template <CommutativeSemiring S>
+Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
+                      const std::vector<const Relation<S>*>& parts,
+                      ExecContext* ctx = nullptr) {
+  const bool root = v == ghd.root();
+  const std::vector<VarId>& keep =
+      root ? q.free_vars : ghd.node(ghd.node(v).parent).chi;
+  Relation<S> out;
+  if (ghd.node(v).edge_id >= 0) {
+    TOPOFAQ_CHECK_MSG(!parts.empty(), "SolveNode: edge bag without operands");
+    out = parts.size() == 1 ? *parts[0] : Join(*parts[0], *parts[1], ctx);
+    for (size_t i = 2; i < parts.size(); ++i) out = Join(out, *parts[i], ctx);
+    std::vector<VarId> bound = VarsOutside(out.schema(), keep);
+    out = EliminateAll(std::move(out), std::move(bound), q, ctx);
+  } else {
+    std::vector<Relation<S>> owned;
+    owned.reserve(parts.size());
+    for (const Relation<S>* p : parts) owned.push_back(*p);
+    out = JoinAndEliminate(std::move(owned), keep, q, ctx);
+  }
+  if (root) return Project(out, q.free_vars, ctx);
+  return out;
+}
+
+/// F ⊆ χ(root), the Appendix G.5 restriction every GHD pass needs.
+template <CommutativeSemiring S>
+Status CheckFreeVarsInRoot(const FaqQuery<S>& q, const Ghd& ghd) {
+  const std::vector<VarId>& root_chi = ghd.node(ghd.root()).chi;
+  for (VarId v : q.free_vars)
+    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
+      return Status::FailedPrecondition(
+          "free variable " + std::to_string(v) +
+          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
+  return Status::Ok();
+}
+
+/// The operands of v's step in the full pass: v's own relation (none at a
+/// synthetic bag), then the message of each child in child order.
+template <CommutativeSemiring S>
+std::vector<const Relation<S>*> PassOperands(
+    const FaqQuery<S>& q, const Ghd& ghd, int v,
+    const std::vector<Relation<S>>& msgs) {
+  std::vector<const Relation<S>*> parts;
+  const int e = ghd.node(v).edge_id;
+  if (e >= 0) parts.push_back(&q.relations[static_cast<size_t>(e)]);
+  for (int c : ghd.node(v).children)
+    parts.push_back(&msgs[static_cast<size_t>(c)]);
+  return parts;
 }
 
 }  // namespace internal
@@ -137,7 +214,8 @@ Result<Relation<S>> BruteForceSolve(const FaqQuery<S>& q,
   TOPOFAQ_RETURN_IF_ERROR(q.Validate());
   ExecContext& cx = ExecContext::Resolve(ctx);
   if (cx.cancelled()) return Status::Cancelled("query cancelled before solve");
-  Relation<S> acc = internal::JoinAndEliminate(q.relations, q, ctx);
+  Relation<S> acc =
+      internal::JoinAndEliminate(q.relations, q.free_vars, q, ctx);
   if (cx.cancelled()) return Status::Cancelled("query cancelled mid-solve");
   return Project(acc, q.free_vars, ctx);
 }
@@ -149,47 +227,24 @@ Result<Relation<S>> YannakakisSolveOn(const FaqQuery<S>& q, const GyoGhd& gg,
                                       ExecContext* ctx = nullptr) {
   TOPOFAQ_RETURN_IF_ERROR(q.Validate());
   const Ghd& ghd = gg.ghd;
-  const auto& root_chi = ghd.node(ghd.root()).chi;
-  for (VarId v : q.free_vars)
-    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-      return Status::FailedPrecondition(
-          "free variable " + std::to_string(v) +
-          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
+  TOPOFAQ_RETURN_IF_ERROR(internal::CheckFreeVarsInRoot(q, ghd));
 
-  // Upward pass: message[v] = relation over χ(v) ∩ χ(parent(v)). Every join
-  // and batched elimination below shares `ctx`'s scratch buffers.
+  // Upward pass: msgs[v] = v's step over its children's messages — a
+  // relation over χ(v) ∩ χ(parent(v)), or the answer over F at the root.
+  // Every operator below shares `ctx`'s scratch buffers.
   ExecContext& cx = ExecContext::Resolve(ctx);
-  std::vector<Relation<S>> state(ghd.num_nodes());
-  for (int v = 0; v < ghd.num_nodes(); ++v) {
-    const int e = ghd.node(v).edge_id;
-    state[v] = (e >= 0) ? q.relations[e] : internal::UnitRelation<S>();
-  }
+  std::vector<Relation<S>> msgs(static_cast<size_t>(ghd.num_nodes()));
   for (int v : ghd.BottomUpOrder()) {
     // Node-boundary cancellation check: one GHD node's work is the pass's
     // natural morsel (parallel operators additionally check per morsel).
     if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
-    for (int c : ghd.node(v).children) state[v] = Join(state[v], state[c], ctx);
-    if (v == ghd.root()) break;
-    // Push down aggregates over variables private to this subtree
-    // (Corollary G.2): everything in the current schema that is not in the
-    // parent bag. RIP guarantees such variables occur nowhere else.
-    const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-    std::vector<VarId> private_vars;
-    for (VarId x : state[v].schema().vars())
-      if (!std::binary_search(parent_chi.begin(), parent_chi.end(), x))
-        private_vars.push_back(x);
-    state[v] = internal::EliminateAll(std::move(state[v]), private_vars, q, ctx);
+    msgs[static_cast<size_t>(v)] = internal::SolveNode(
+        q, ghd, v, internal::PassOperands(q, ghd, v, msgs), ctx);
+    for (int c : ghd.node(v).children)
+      msgs[static_cast<size_t>(c)] = Relation<S>();  // consumed
   }
-  // Root: eliminate the remaining bound variables, then order columns as F.
-  Relation<S>& root_rel = state[ghd.root()];
-  std::vector<VarId> bound;
-  for (VarId v : root_rel.schema().vars())
-    if (std::find(q.free_vars.begin(), q.free_vars.end(), v) ==
-        q.free_vars.end())
-      bound.push_back(v);
-  root_rel = internal::EliminateAll(std::move(root_rel), bound, q, ctx);
   if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
-  return Project(root_rel, q.free_vars, ctx);
+  return std::move(msgs[static_cast<size_t>(ghd.root())]);
 }
 
 /// Theorem G.3 solver using the canonical minimized decomposition; when F is

@@ -4,28 +4,30 @@
 // relations and the post-elimination message each non-root node sends its
 // parent), then keeps the answer current under batched base-relation deltas
 // (ivm/delta.h) at a cost proportional to the delta and the key runs it
-// touches, not the database. Two maintenance modes, chosen per query at
-// creation:
+// touches, not the database. Every pass runs the one GHD node step that
+// YannakakisSolveOn runs (internal::SolveNode, faq/solvers.h), so a
+// subscription joins and eliminates exactly as a fresh solve does. Two
+// maintenance modes, chosen per query at creation:
 //
 //  * Ring propagation (exact rings — Natural, GF2 — with all-⊕ bound
 //    variables): the delta's net change C (base_new = base_old ⊕ C) is
 //    pushed along the touched node's root path. Every operator in the pass
 //    is ⊕-linear in each argument — Join(A ⊕ C, B) = Join(A, B) ⊕
 //    Join(C, B) by distributivity, Eliminate/Project commute with ⊕ — so at
-//    each node the incremental term is Join(Δchild, every *other* input at
-//    its current value), eliminated exactly as the full pass would, folded
-//    into the stored message, and forwarded. One root-to-leaf path of
-//    delta-sized joins; untouched subtrees are never visited. Bit-identity
-//    vs full recompute holds because ⊕/⊗ in these rings are exact and
-//    order-free, and every materialized state stays in canonical form.
+//    each node the incremental term is the node step over Δchild and every
+//    *other* operand at its current value, folded into the stored message,
+//    and forwarded. One root-to-leaf path of delta-sized joins; untouched
+//    subtrees are never visited. Bit-identity vs full recompute holds
+//    because ⊕/⊗ in these rings are exact and order-free, and every
+//    materialized state stays in canonical form.
 //
 //  * Affected-subtree recompute (everything else — idempotent semirings
 //    like Boolean/MinPlus/MaxProduct, inexact Counting, or min/max bound
 //    aggregates): deletions have no additive inverse (or no exact one), so
-//    the nodes on the touched root path rerun their original pass step with
-//    the *same* deterministic operators, reusing the cached messages of
-//    every clean subtree. Identical ops on byte-identical inputs give
-//    byte-identical outputs — bit-identity is unconditional here.
+//    the nodes on the touched root path rerun the node step, reusing the
+//    cached messages of every clean subtree. The same step on
+//    byte-identical operands gives byte-identical outputs — bit-identity is
+//    unconditional here.
 //
 // Delta application is deliberately NOT cancellable: a cancel observed
 // mid-propagation would leave messages half-updated. Deltas are small by
@@ -73,12 +75,7 @@ class StandingQuery {
     sq.q_ = std::move(q);
     sq.gg_ = std::move(w->decomposition);
     const Ghd& ghd = sq.gg_.ghd;
-    const auto& root_chi = ghd.node(ghd.root()).chi;
-    for (VarId v : sq.q_.free_vars)
-      if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-        return Status::FailedPrecondition(
-            "free variable " + std::to_string(v) +
-            " outside V(C(H)): unsupported choice of F (Appendix G.5)");
+    TOPOFAQ_RETURN_IF_ERROR(internal::CheckFreeVarsInRoot(sq.q_, ghd));
     sq.node_of_relation_.assign(sq.q_.relations.size(), -1);
     for (int v = 0; v < ghd.num_nodes(); ++v) {
       const int e = ghd.node(v).edge_id;
@@ -101,7 +98,11 @@ class StandingQuery {
           sq.ring_mode_ = false;
       }
     }
-    sq.RebuildAll(ctx);
+    // The full pass is the recompute with every node dirty; creation is
+    // not maintenance, so its node counts leave the stats at zero.
+    sq.msgs_.resize(static_cast<size_t>(ghd.num_nodes()));
+    sq.RecomputeDirty(std::vector<char>(sq.msgs_.size(), 1), ctx);
+    sq.stats_ = StandingStats{};
     return sq;
   }
 
@@ -149,131 +150,62 @@ class StandingQuery {
     EraseMatching(&base, d.removes);
     AddInto(&base, d.adds, ctx);
     ++stats_.recompute_deltas;
-    RecomputeDirty(node, ctx);
+    std::vector<char> dirty(msgs_.size(), 0);
+    for (int v = node; v >= 0; v = gg_.ghd.node(v).parent)
+      dirty[static_cast<size_t>(v)] = 1;
+    RecomputeDirty(dirty, ctx);
     return Status::Ok();
   }
 
  private:
   StandingQuery() = default;
 
-  /// The node's own input: its hyperedge's relation, or the unit scalar for
-  /// the synthetic root.
-  const Relation<S>& BaseOf(int v) {
-    const int e = gg_.ghd.node(v).edge_id;
-    if (e >= 0) return q_.relations[static_cast<size_t>(e)];
-    if (unit_.empty()) unit_ = internal::UnitRelation<S>();
-    return unit_;
-  }
-
-  /// Variables of `sc` not in the (sorted) bag `chi`.
-  static std::vector<VarId> VarsOutside(const Schema& sc,
-                                        const std::vector<VarId>& chi) {
-    std::vector<VarId> out;
-    for (VarId x : sc.vars())
-      if (!std::binary_search(chi.begin(), chi.end(), x)) out.push_back(x);
-    return out;
-  }
-
-  std::vector<VarId> BoundVarsOf(const Schema& sc) const {
-    std::vector<VarId> bound;
-    for (VarId v : sc.vars())
-      if (std::find(q_.free_vars.begin(), q_.free_vars.end(), v) ==
-          q_.free_vars.end())
-        bound.push_back(v);
-    return bound;
-  }
-
-  /// One full upward pass — step for step YannakakisSolveOn — that leaves
-  /// every non-root node's post-elimination message materialized in msgs_.
-  void RebuildAll(ExecContext* ctx) {
-    const Ghd& ghd = gg_.ghd;
-    std::vector<Relation<S>> state(static_cast<size_t>(ghd.num_nodes()));
-    for (int v = 0; v < ghd.num_nodes(); ++v) state[v] = BaseOf(v);
-    for (int v : ghd.BottomUpOrder()) {
-      for (int c : ghd.node(v).children)
-        state[v] = Join(state[v], state[c], ctx);
-      if (v == ghd.root()) break;
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      // Private vars are read before the move: function-argument evaluation
-      // order would otherwise race the move-out of state[v].
-      std::vector<VarId> priv = VarsOutside(state[v].schema(), parent_chi);
-      state[v] = internal::EliminateAll(std::move(state[v]), std::move(priv),
-                                        q_, ctx);
-    }
-    Relation<S>& root_rel = state[ghd.root()];
-    std::vector<VarId> bound = BoundVarsOf(root_rel.schema());
-    root_rel = internal::EliminateAll(std::move(root_rel), std::move(bound),
-                                      q_, ctx);
-    answer_ = Project(root_rel, q_.free_vars, ctx);
-    state[ghd.root()] = Relation<S>();  // answer_ supersedes the root state
-    msgs_ = std::move(state);
-  }
-
   /// Ring mode: walk the touched node's root path once. At each node the
-  /// incremental term is the delta joined with every *other* input at its
-  /// current value (⊕-linearity in the dirty argument); eliminate exactly
-  /// as the full pass would, fold into the stored message, forward. Stops
-  /// early when a term annihilates (⊕-cancellation or empty join).
+  /// incremental term is the node step (internal::SolveNode) with the delta
+  /// in place of the changed operand and every *other* operand at its
+  /// current value (⊕-linearity in the dirty argument); fold it into the
+  /// stored message and forward it. Stops early when a term annihilates
+  /// (⊕-cancellation or empty join).
   void PropagateRing(Relation<S> cur, int node, ExecContext* ctx) {
     const Ghd& ghd = gg_.ghd;
-    int v = node;
-    int from = -1;  // child the delta arrived from; -1 = v's own base
-    for (;;) {
+    for (int v = node, from = -1;; from = v, v = ghd.node(v).parent) {
       ++stats_.nodes_updated;
-      Relation<S> term = std::move(cur);
-      if (from >= 0) term = Join(term, BaseOf(v), ctx);
-      for (int c : ghd.node(v).children) {
-        if (c == from) continue;
-        term = Join(term, msgs_[static_cast<size_t>(c)], ctx);
-      }
+      std::vector<const Relation<S>*> parts{&cur};
+      const int e = ghd.node(v).edge_id;
+      if (from >= 0 && e >= 0)
+        parts.push_back(&q_.relations[static_cast<size_t>(e)]);
+      for (int c : ghd.node(v).children)
+        if (c != from) parts.push_back(&msgs_[static_cast<size_t>(c)]);
+      Relation<S> term = internal::SolveNode(q_, ghd, v, parts, ctx);
       if (v == ghd.root()) {
-        std::vector<VarId> bound = BoundVarsOf(term.schema());
-        term = internal::EliminateAll(std::move(term), std::move(bound), q_,
-                                      ctx);
-        Relation<S> dans = Project(term, q_.free_vars, ctx);
-        AddInto(&answer_, dans, ctx);
+        AddInto(&answer_, term, ctx);
         return;
       }
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      std::vector<VarId> priv = VarsOutside(term.schema(), parent_chi);
-      term = internal::EliminateAll(std::move(term), std::move(priv), q_, ctx);
       if (term.empty()) return;  // nothing survives to the parent
       ReorderTo(&term, msgs_[static_cast<size_t>(v)].schema(), ctx);
       AddInto(&msgs_[static_cast<size_t>(v)], term, ctx);
       cur = std::move(term);
-      from = v;
-      v = ghd.node(v).parent;
     }
   }
 
-  /// Fallback mode: rerun the original pass step at every node on the
-  /// touched root path, reusing the cached message of every clean child —
-  /// identical deterministic operators on byte-identical inputs.
-  void RecomputeDirty(int touched, ExecContext* ctx) {
+  /// Reruns the pass step at every dirty node bottom-up, reusing the cached
+  /// message of every clean child — the same step on byte-identical
+  /// operands as YannakakisSolveOn, so the same bytes.
+  void RecomputeDirty(const std::vector<char>& dirty, ExecContext* ctx) {
     const Ghd& ghd = gg_.ghd;
-    std::vector<char> dirty(static_cast<size_t>(ghd.num_nodes()), 0);
-    for (int v = touched; v >= 0; v = ghd.node(v).parent)
-      dirty[static_cast<size_t>(v)] = 1;
     for (int v : ghd.BottomUpOrder()) {
       if (!dirty[static_cast<size_t>(v)]) {
         ++stats_.nodes_reused;
         continue;
       }
       ++stats_.nodes_updated;
-      Relation<S> state = BaseOf(v);
-      for (int c : ghd.node(v).children)
-        state = Join(state, msgs_[static_cast<size_t>(c)], ctx);
+      Relation<S> out = internal::SolveNode(
+          q_, ghd, v, internal::PassOperands(q_, ghd, v, msgs_), ctx);
       if (v == ghd.root()) {
-        std::vector<VarId> bound = BoundVarsOf(state.schema());
-        state = internal::EliminateAll(std::move(state), std::move(bound), q_,
-                                       ctx);
-        answer_ = Project(state, q_.free_vars, ctx);
+        answer_ = std::move(out);
         return;
       }
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      std::vector<VarId> priv = VarsOutside(state.schema(), parent_chi);
-      msgs_[static_cast<size_t>(v)] =
-          internal::EliminateAll(std::move(state), std::move(priv), q_, ctx);
+      msgs_[static_cast<size_t>(v)] = std::move(out);
     }
   }
 
@@ -283,7 +215,6 @@ class StandingQuery {
   /// Post-elimination message per non-root node (root slot empty).
   std::vector<Relation<S>> msgs_;
   Relation<S> answer_;
-  Relation<S> unit_;  // lazily built unit scalar for synthetic nodes
   bool ring_mode_ = false;
   StandingStats stats_;
 };

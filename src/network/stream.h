@@ -61,12 +61,12 @@ struct StreamOptions {
   /// Max pages one source node may have materialized in flight, across all
   /// streams it is sourcing (the backpressure budget; >= 1).
   int64_t node_page_budget = 8;
-  /// Fixed per-page framing overhead on the wire (stream id, seq, row
-  /// count).
-  int64_t page_header_bits = 64;
-  /// Wire size of one credit (budget-return) packet.
-  int64_t credit_bits = 32;
 };
+
+/// Fixed per-page framing overhead on the wire (stream id, seq, row count).
+inline constexpr int64_t kPageHeaderBits = 64;
+/// Wire size of one credit (budget-return) packet.
+inline constexpr int64_t kCreditBits = 32;
 
 /// Exact in-flight page accounting, per source node. A page is "in flight"
 /// from the moment the source materializes it until the sink consumes it;
@@ -235,7 +235,7 @@ class StreamNet {
         Packet p;
         p.src = src;
         p.dst = routes_[id].back();
-        p.bits = opts_.page_header_bits + payload;
+        p.bits = kPageHeaderBits + payload;
         p.stream = id;
         p.seq = st.seq++;
         p.hop = 0;
@@ -314,7 +314,7 @@ class StreamNet {
     Packet credit;
     credit.src = at;
     credit.dst = route.front();
-    credit.bits = opts_.credit_bits;
+    credit.bits = kCreditBits;
     credit.stream = p.stream;
     credit.seq = p.seq;
     credit.hop = p.hop;

@@ -188,23 +188,17 @@ class Schedule {
       step.leaf_owners.push_back(owner_[c]);
       step.leaf_rows.push_back(state_[c].size());
     }
+    // The leaf's functional message is the elimination half of its own
+    // node step: its private bound variables aggregated out (Corollary G.2)
+    // — the kid's state already holds its folded children.
     step.leaf_message = [this, center](size_t k) {
-      return LeafMessage(ghd_->node(center).children[k], center);
+      const int kid = ghd_->node(center).children[k];
+      return internal::SolveNode(q_, *ghd_, kid, {&state_[kid]}, ctx_);
     };
     step.done = [this, i](std::vector<Relation<S>> msgs) {
       Fold(i, std::move(msgs));
     };
     clock_->Exchange(std::move(step));
-  }
-
-  /// Functional leaf message: the kid's relation over χ(center) ∩ χ(kid),
-  /// private bound variables aggregated out (Corollary G.2).
-  Relation<S> LeafMessage(int kid, int center) {
-    const Schema& center_schema = state_[center].schema();
-    std::vector<VarId> private_vars;
-    for (VarId x : state_[kid].schema().vars())
-      if (!center_schema.Contains(x)) private_vars.push_back(x);
-    return internal::EliminateAll(state_[kid], private_vars, q_, ctx_);
   }
 
   /// R'_center = R_center ⊗ Π_k message_k in kid order (message schemas are
@@ -240,15 +234,10 @@ class Schedule {
     }
     const NodeId ro = owner_[root];
     clock_->Compute("finish", ro, state_[root].size(), [this, root, ro] {
-      Relation<S> acc = std::move(state_[root]);
-      std::vector<VarId> bound;
-      for (VarId v : acc.schema().vars())
-        if (std::find(q_.free_vars.begin(), q_.free_vars.end(), v) ==
-            q_.free_vars.end())
-          bound.push_back(v);
-      acc = internal::EliminateAll(std::move(acc), bound, q_, ctx_);
-      clock_->Send(ro, inst_.sink, Project(acc, q_.free_vars, ctx_),
-                   [this](Relation<S> a) { answer_ = std::move(a); });
+      clock_->Send(
+          ro, inst_.sink,
+          internal::SolveNode(q_, *ghd_, root, {&state_[root]}, ctx_),
+          [this](Relation<S> a) { answer_ = std::move(a); });
     });
   }
 
@@ -266,7 +255,8 @@ class Schedule {
               stage, inst_.sink, rows,
               [this, at_sink = std::move(at_sink)]() mutable {
                 answer_ = Project(
-                    internal::JoinAndEliminate(std::move(at_sink), q_, ctx_),
+                    internal::JoinAndEliminate(std::move(at_sink),
+                                               q_.free_vars, q_, ctx_),
                     q_.free_vars, ctx_);
               });
         });

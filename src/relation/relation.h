@@ -465,8 +465,17 @@ class Relation {
   /// data is copied and rows keep their identity — but row *order* is no
   /// longer sorted under the new column order, so the canonical flag drops;
   /// callers re-canonicalize (one permutation sort + per-column gather).
+  /// The identity permutation only renames the schema: row order, the
+  /// canonical flag and the column encodings all survive.
   void ReorderColumns(Schema new_schema, const std::vector<int>& src) {
     TOPOFAQ_CHECK(new_schema.arity() == arity() && src.size() == arity());
+    bool identity = true;
+    for (size_t j = 0; j < src.size(); ++j)
+      identity = identity && src[j] == static_cast<int>(j);
+    if (identity) {
+      schema_ = std::move(new_schema);
+      return;
+    }
     DecodeAll();
     std::vector<std::vector<Value>> nc(src.size());
     for (size_t j = 0; j < src.size(); ++j)

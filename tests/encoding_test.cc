@@ -429,7 +429,8 @@ TEST(EncodedStream, RoundTripIsBitIdenticalAndCheaper) {
   NRel r = RandomRelation<NaturalSemiring>({0, 1, 2}, 5000, 64, 81, 2);
   ASSERT_TRUE(r.any_encoded());
   AsyncNetwork net(LineTopology(2), LinkParams{1.0, 64.0});
-  StreamNet<NaturalSemiring> streams(&net, StreamOptions{64, 4, 64, 32});
+  StreamNet<NaturalSemiring> streams(&net,
+      StreamOptions{.page_rows = 64, .node_page_budget = 4});
   NRel rebuilt;
   bool done = false;
   streams.SendRelation(0, 1, r, /*bits_per_attr=*/32, [&](NRel got) {

@@ -3,9 +3,18 @@
 // join, semijoin and PGM-marginal specializations (Appendix G.1).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bit_identity.h"
+#include "faq/parse.h"
 #include "faq/query.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
+#include "ivm/standing_query.h"
+#include "random_instances.h"
+#include "relation/encoding.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -102,6 +111,123 @@ TEST(Yannakakis, HandlesCyclicCores) {
       ASSERT_TRUE(bf.ok() && yk.ok());
       EXPECT_TRUE(bf->EqualsAsFunction(*yk)) << h.DebugString();
     }
+  }
+}
+
+// The synthetic core bag of Construction 2.8 runs JoinAndEliminate (and so
+// MultiwayJoin) inside the one GHD node step that YannakakisSolve and the
+// standing queries share. Per cyclic shape, semiring and parallelism: the
+// answer is function-equal to brute force, and StandingQuery::Current() is
+// byte-equal to a fresh YannakakisSolve after Create and after a delta on a
+// core edge and on the last edge — in ring mode (Natural) and in recompute
+// mode (the rest).
+struct CoreShape {
+  const char* name;
+  Hypergraph h;
+  std::vector<VarId> free_vars;
+};
+
+std::vector<CoreShape> CoreShapes() {
+  const Hypergraph pendant(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
+  return {{"triangle", CycleGraph(3), {}},
+          {"4-cycle", CycleGraph(4), {0}},
+          {"5-cycle", CycleGraph(5), {0, 2}},
+          {"triangle+path", pendant, {1}}};
+}
+
+template <CommutativeSemiring S>
+void CheckCoreRouting(uint64_t seed0) {
+  uint64_t seed = seed0;
+  for (const CoreShape& sh : CoreShapes()) {
+    for (int p : {1, 2}) {
+      ++seed;
+      SCOPED_TRACE(InstanceLabel(std::string(sh.name) + " p=" +
+                                     std::to_string(p), seed));
+      ExecContext ctx;
+      ctx.parallelism = p;
+      FaqQuery<S> q = RandomQuery<S>(sh.h, 60, 12, seed, sh.free_vars);
+      auto plan = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      ASSERT_LT(plan->decomposition.ghd.node(plan->decomposition.ghd.root())
+                    .edge_id, 0) << "no synthetic core bag at the root";
+      auto sq = StandingQuery<S>::Create(q, &ctx);
+      ASSERT_TRUE(sq.ok()) << sq.status().ToString();
+      EXPECT_EQ(sq->ring_mode(), (std::is_same_v<S, NaturalSemiring>));
+      for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        auto yk = YannakakisSolve(q, &ctx);
+        auto bf = BruteForceSolve(q, &ctx);
+        ASSERT_TRUE(yk.ok() && bf.ok());
+        EXPECT_TRUE(bf->EqualsAsFunction(*yk));
+        EXPECT_TRUE(BytesEqual(sq->Current(), *yk));
+        if (round == 2) break;
+        // Round 0 touches a core edge, round 1 the last edge.
+        const int rel =
+            round == 0 ? 0 : static_cast<int>(q.relations.size()) - 1;
+        const Relation<S>& base = q.relations[static_cast<size_t>(rel)];
+        Delta<S> d = RandomDelta<S>(base, 12, seed + 100 + round,
+                                    base.size() / 4, 15);
+        Delta<S> d2 = d;
+        ASSERT_TRUE(sq->ApplyDelta(rel, std::move(d), &ctx).ok());
+        ASSERT_TRUE(ApplyDeltaToQuery(&q, rel, std::move(d2), &ctx).ok());
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(Yannakakis, CyclicCoresRouteThroughTheNodeStep) {
+  CheckCoreRouting<BooleanSemiring>(7100);
+  CheckCoreRouting<NaturalSemiring>(7200);
+  CheckCoreRouting<MinPlusSemiring>(7300);
+  CheckCoreRouting<MaxProductSemiring>(7400);
+}
+
+TEST(Yannakakis, NonRootCoreBagKeepsItsParentBag) {
+  // Triangle {0,1,2} with the path 2-3-4 hanging off it, F = {3,4}: the
+  // decomposition is rooted at the forest edge {3,4}, so the synthetic core
+  // bag sits below {2,3} and must keep χ(parent) ∩ χ(core) = {2}, not F.
+  // (PlanCache never re-roots a cyclic H, so the GHD is built here.)
+  const Hypergraph h(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
+  GyoGhd gg;
+  const int core = gg.ghd.AddNode({{0, 1, 2}, {}, -1, {}, -1});
+  std::vector<int> edge_node;
+  for (int e = 0; e < h.num_edges(); ++e)
+    edge_node.push_back(gg.ghd.AddNode({h.edge(e), {e}, -1, {}, e}));
+  gg.ghd.set_root(edge_node[4]);
+  gg.ghd.SetParent(edge_node[3], edge_node[4]);
+  gg.ghd.SetParent(core, edge_node[3]);
+  for (int e = 0; e < 3; ++e) gg.ghd.SetParent(edge_node[e], core);
+  uint64_t seed = 7600;
+  for (int p : {1, 2}) {
+    ++seed;
+    SCOPED_TRACE(InstanceLabel("p=" + std::to_string(p), seed));
+    ExecContext ctx;
+    ctx.parallelism = p;
+    auto q = RandomQuery<MinPlusSemiring>(h, 60, 12, seed, {3, 4});
+    auto yk = YannakakisSolveOn(q, gg, &ctx);
+    auto bf = BruteForceSolve(q);
+    ASSERT_TRUE(yk.ok() && bf.ok()) << yk.status().ToString();
+    EXPECT_TRUE(bf->EqualsAsFunction(*yk));
+    EXPECT_GE(ctx.multiway.calls, 1);
+  }
+}
+
+TEST(Yannakakis, TriangleCoreRunsMultiwayWithoutPairwiseBlowUp) {
+  // 200 rows over a domain of 20 per relation: the pairwise R ⋈ S alone
+  // would hold about 200·200/20 = 2000 rows, above the 600 input rows.
+  FaqQuery<NaturalSemiring> q =
+      RandomQuery<NaturalSemiring>(CycleGraph(3), 200, 20, 7500, {});
+  int64_t input_rows = 0;
+  for (const auto& r : q.relations)
+    input_rows += static_cast<int64_t>(r.size());
+  for (int p : {1, 2}) {
+    ExecContext ctx;
+    ctx.parallelism = p;
+    auto yk = YannakakisSolve(q, &ctx);
+    ASSERT_TRUE(yk.ok()) << yk.status().ToString();
+    EXPECT_GE(ctx.multiway.calls, 1);
+    EXPECT_LE(ctx.join.rows_out, input_rows);
   }
 }
 
@@ -272,6 +398,33 @@ TEST_P(FaqDifferential, RootEdgeFreeVariables) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FaqDifferential, ::testing::Range(0, 20));
+
+TEST(Faq, InstantiateKeepsCanonicalEncodedInputsInAscendingAtoms) {
+  // Atoms whose written order is already ascending need no column reorder:
+  // the inputs must come through still canonical and still encoded. The
+  // instantiation runs in plain mode, so a re-sort would also re-encode
+  // them plain.
+  auto parsed = ParseQuery("q(A) :- R(A, B), S(B, C)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::vector<Relation<NaturalSemiring>> rels;
+  {
+    ScopedEncodingMode dict(EncodingMode::kForceDict);
+    for (uint64_t seed : {81, 82})
+      rels.push_back(
+          topofaq::RandomRelation<NaturalSemiring>({0, 1}, 50, 10, seed));
+  }
+  ASSERT_TRUE(rels[0].canonical());
+  ASSERT_EQ(rels[0].col_encoding(0), ColumnEncoding::kDict);
+  ScopedEncodingMode plain(EncodingMode::kPlain);
+  auto q = InstantiateQuery(*parsed, rels);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  for (const auto& r : q->relations) {
+    EXPECT_TRUE(r.canonical());
+    EXPECT_EQ(r.col_encoding(0), ColumnEncoding::kDict);
+  }
+  EXPECT_EQ(q->relations[1].schema(), Schema({1, 2}));
+  EXPECT_TRUE(q->relations[1].columns() == rels[1].columns());
+}
 
 }  // namespace
 }  // namespace topofaq

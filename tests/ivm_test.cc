@@ -34,36 +34,6 @@
 namespace topofaq {
 namespace {
 
-/// A random batched delta against `base`: `n_remove` existing rows sampled
-/// without replacement, `n_add` rows of which roughly half collide with
-/// existing keys (⊕-merge / cancellation paths) and half are fresh.
-template <CommutativeSemiring S>
-Delta<S> RandomDelta(const Relation<S>& base, uint64_t dom, uint64_t seed,
-                     size_t n_remove, size_t n_add) {
-  Rng rng(seed);
-  Delta<S> d;
-  d.removes = Relation<S>(base.schema());
-  d.adds = Relation<S>(base.schema());
-  std::vector<Value> row(base.arity());
-  if (!base.empty() && n_remove > 0) {
-    for (uint64_t i :
-         rng.Sample(base.size(), std::min<uint64_t>(n_remove, base.size()))) {
-      for (size_t j = 0; j < row.size(); ++j) row[j] = base.at(i, j);
-      d.removes.Add(std::span<const Value>(row), S::One());
-    }
-  }
-  for (size_t i = 0; i < n_add; ++i) {
-    if (!base.empty() && rng.NextBool()) {
-      const size_t r = rng.NextU64(base.size());
-      for (size_t j = 0; j < row.size(); ++j) row[j] = base.at(r, j);
-    } else {
-      for (size_t j = 0; j < row.size(); ++j) row[j] = rng.NextU64(dom);
-    }
-    d.adds.Add(std::span<const Value>(row), TestAnnot<S>(rng.NextU64(1u << 20)));
-  }
-  return d;
-}
-
 /// One differential round: apply `d` to the standing query and (a copy) to
 /// the oracle's base, then assert the updated base and the answer are both
 /// byte-identical to the standing state.

@@ -14,12 +14,15 @@
 #ifndef TOPOFAQ_TESTS_RANDOM_INSTANCES_H_
 #define TOPOFAQ_TESTS_RANDOM_INSTANCES_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "faq/query.h"
 #include "hypergraph/hypergraph.h"
+#include "ivm/delta.h"
 #include "relation/relation.h"
 #include "util/rng.h"
 
@@ -76,6 +79,36 @@ FaqQuery<S> RandomQuery(const Hypergraph& h, size_t tuples, uint64_t dom,
     rels.push_back(RandomRelation<S>(h.edge(e), tuples, dom,
                                      seed + static_cast<uint64_t>(e), skew));
   return MakeFaqSS<S>(h, std::move(rels), std::move(free_vars));
+}
+
+/// A random batched delta against `base`: `n_remove` existing rows sampled
+/// without replacement, `n_add` rows of which roughly half collide with
+/// existing keys (⊕-merge / cancellation paths) and half are fresh.
+template <CommutativeSemiring S>
+Delta<S> RandomDelta(const Relation<S>& base, uint64_t dom, uint64_t seed,
+                     size_t n_remove, size_t n_add) {
+  Rng rng(seed);
+  Delta<S> d;
+  d.removes = Relation<S>(base.schema());
+  d.adds = Relation<S>(base.schema());
+  std::vector<Value> row(base.arity());
+  if (!base.empty() && n_remove > 0) {
+    for (uint64_t i :
+         rng.Sample(base.size(), std::min<uint64_t>(n_remove, base.size()))) {
+      for (size_t j = 0; j < row.size(); ++j) row[j] = base.at(i, j);
+      d.removes.Add(std::span<const Value>(row), S::One());
+    }
+  }
+  for (size_t i = 0; i < n_add; ++i) {
+    if (!base.empty() && rng.NextBool()) {
+      const size_t r = rng.NextU64(base.size());
+      for (size_t j = 0; j < row.size(); ++j) row[j] = base.at(r, j);
+    } else {
+      for (size_t j = 0; j < row.size(); ++j) row[j] = rng.NextU64(dom);
+    }
+    d.adds.Add(std::span<const Value>(row), TestAnnot<S>(rng.NextU64(1u << 20)));
+  }
+  return d;
 }
 
 /// "what (seed N)" — the SCOPED_TRACE label that makes every generated

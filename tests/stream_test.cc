@@ -145,7 +145,8 @@ StreamRun ShipOnce(const NRel& rel, Graph g, NodeId src, NodeId dst,
 
 TEST(Stream, RoundTripIsBitIdentical) {
   NRel r = RandomRel({0, 1, 2}, 500, 64, 11);
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{64, 4, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 64, .node_page_budget = 4});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_EQ(run.pages, static_cast<int64_t>((r.size() + 63) / 64));
@@ -164,7 +165,8 @@ TEST(Stream, RoundTripIsBitIdentical) {
 TEST(Stream, EmptyRelationStillCompletes) {
   NRel r{Schema({0, 1})};
   r.Canonicalize();
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{16, 2, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 16, .node_page_budget = 2});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_TRUE(run.rebuilt.canonical());
@@ -173,7 +175,8 @@ TEST(Stream, EmptyRelationStillCompletes) {
 
 TEST(Stream, PayloadSmallerThanOnePage) {
   NRel r = RandomRel({0, 1}, 5, 16, 13);
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{4096, 8, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 4096, .node_page_budget = 8});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_EQ(run.pages, 1);
@@ -183,7 +186,8 @@ TEST(Stream, PayloadSmallerThanOnePage) {
 TEST(Stream, ExactPageMultipleEmitsNoEmptyTailPage) {
   NRel r = RandomRel({0, 1}, 64, 1 << 20, 17);  // wide domain: no dup merge
   ASSERT_EQ(r.size(), 64u);
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{16, 8, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 16, .node_page_budget = 8});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_EQ(run.pages, 4);  // 64 rows / 16 per page, last flag on page 4
@@ -196,7 +200,8 @@ TEST(Stream, SingleKeyRunSpanningPageBoundary) {
   NRel r{Schema({0, 1})};
   for (int i = 0; i < 10; ++i) r.Add({7, static_cast<Value>(i)}, i + 1);
   r.Canonicalize();
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{4, 8, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 4, .node_page_budget = 8});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_EQ(run.pages, 3);  // 4 + 4 + 2
@@ -207,7 +212,8 @@ TEST(Stream, BudgetBoundsPeakInFlightPages) {
   // source rather than materialize the relation in flight.
   NRel r = RandomRel({0, 1, 2}, 700, 1 << 20, 19);
   ASSERT_GE(r.size(), 640u);
-  auto run = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{8, 2, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 8, .node_page_budget = 2});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_GT(run.pages, 2);
@@ -217,8 +223,10 @@ TEST(Stream, BudgetBoundsPeakInFlightPages) {
 
 TEST(Stream, MultiHopRelayDeliversInOrder) {
   NRel r = RandomRel({0, 1}, 200, 1 << 16, 23);
-  auto direct = ShipOnce(r, LineTopology(2), 0, 1, StreamOptions{32, 4, 64, 32});
-  auto relayed = ShipOnce(r, LineTopology(4), 0, 3, StreamOptions{32, 4, 64, 32});
+  auto direct = ShipOnce(r, LineTopology(2), 0, 1,
+      StreamOptions{.page_rows = 32, .node_page_budget = 4});
+  auto relayed = ShipOnce(r, LineTopology(4), 0, 3,
+      StreamOptions{.page_rows = 32, .node_page_budget = 4});
   ASSERT_TRUE(direct.completed && relayed.completed);
   EXPECT_TRUE(BytesEqual(direct.rebuilt, relayed.rebuilt));
   EXPECT_TRUE(BytesEqual(r, relayed.rebuilt));
@@ -229,7 +237,8 @@ TEST(Stream, MultiHopRelayDeliversInOrder) {
 
 TEST(Stream, LocalDeliveryCostsNothingOnTheWire) {
   NRel r = RandomRel({0, 1}, 100, 256, 29);
-  auto run = ShipOnce(r, LineTopology(2), 0, 0, StreamOptions{16, 2, 64, 32});
+  auto run = ShipOnce(r, LineTopology(2), 0, 0,
+      StreamOptions{.page_rows = 16, .node_page_budget = 2});
   ASSERT_TRUE(run.completed);
   EXPECT_TRUE(BytesEqual(r, run.rebuilt));
   EXPECT_EQ(run.pages, 0);
@@ -240,7 +249,8 @@ TEST(Stream, ConcurrentStreamsShareTheSourceBudget) {
   NRel a = RandomRel({0, 1}, 400, 1 << 18, 31);
   NRel b = RandomRel({2, 3}, 400, 1 << 18, 37);
   AsyncNetwork net(StarTopology(3), LinkParams{1.0, 64.0});
-  StreamNet<NaturalSemiring> streams(&net, StreamOptions{16, 3, 64, 32});
+  StreamNet<NaturalSemiring> streams(&net,
+      StreamOptions{.page_rows = 16, .node_page_budget = 3});
   NRel got_a, got_b;
   streams.SendRelation(0, 1, a, 8, [&](NRel r) { got_a = std::move(r); });
   streams.SendRelation(0, 2, b, 8, [&](NRel r) { got_b = std::move(r); });
