@@ -139,9 +139,9 @@ void ReportRow(const char* label, const FaqQuery<S>& query, Graph topology,
   }
   BoundBreakdown b =
       ComputeBounds(query.hypergraph, inst.topology, inst.Players(), n);
-  // Both protocol outputs must match the engine's centralized answer (which
-  // itself is solver-independent — tests/engine_test.cc pins it to the
-  // brute-force oracle bit for bit).
+  // Both protocol outputs must match the engine's centralized answer (the
+  // solver suites pin that answer to the brute-force oracle in
+  // tests/oracle.h).
   auto central = BenchEngine().Solve(query);
   const bool correct = central.ok() &&
                        smart->answer.EqualsAsFunction(*central) &&

@@ -43,7 +43,7 @@ int main() {
   for (int i = 0; i < 3; ++i)
     small.matrices.push_back(BitMatrix::Random(6, &rng));
   Engine engine;
-  auto res = engine.Solve(McmAsFaq(small), Strategy::kBruteForce);
+  auto res = engine.Solve(McmAsFaq(small));
   if (!res.ok()) {
     std::printf("FAQ error: %s\n", res.status().ToString().c_str());
     return 1;

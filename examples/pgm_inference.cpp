@@ -34,7 +34,7 @@ int main() {
   // Marginalize onto factor 0 (the paper's "factor marginal in PGMs").
   auto query = MakeFactorMarginal(model, factors, /*marginal_edge=*/0);
 
-  // Centralized exact inference, served by the engine (GHD strategy).
+  // Centralized exact inference, served by the engine.
   Engine engine;
   auto exact = engine.Solve(query);
   if (!exact.ok()) {

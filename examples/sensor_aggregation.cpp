@@ -35,9 +35,9 @@ int main() {
   auto query = MakeFaqSS<CountingSemiring>(h, std::move(tables), {0});
   query.var_ops[1] = VarOp::kMin;  // sensor 1's reading: MIN aggregate
 
-  // The brute-force oracle, selected as an engine strategy.
+  // The exact central answer, served by the engine.
   Engine engine;
-  auto exact = engine.Solve(query, Strategy::kBruteForce);
+  auto exact = engine.Solve(query);
   if (!exact.ok()) {
     std::printf("error: %s\n", exact.status().ToString().c_str());
     return 1;

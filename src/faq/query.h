@@ -8,6 +8,8 @@
 #ifndef TOPOFAQ_FAQ_QUERY_H_
 #define TOPOFAQ_FAQ_QUERY_H_
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
@@ -35,7 +37,8 @@ struct FaqQuery {
   std::vector<VarOp> var_ops;
 
   /// Structural checks: one relation per edge with matching schema; free
-  /// variables exist; var_ops sized to the vertex count.
+  /// variables exist, are distinct and occur in some edge; var_ops sized to
+  /// the vertex count.
   Status Validate() const {
     if (static_cast<int>(relations.size()) != hypergraph.num_edges())
       return Status::InvalidArgument("need exactly one relation per hyperedge");
@@ -43,9 +46,20 @@ struct FaqQuery {
       if (relations[e].schema().vars() != hypergraph.edge(e))
         return Status::InvalidArgument("relation schema != hyperedge " +
                                        std::to_string(e));
-    for (VarId v : free_vars)
+    for (size_t i = 0; i < free_vars.size(); ++i) {
+      const VarId v = free_vars[i];
       if (v >= static_cast<VarId>(hypergraph.num_vertices()))
         return Status::InvalidArgument("free variable out of range");
+      // The answer is a relation over F: each free variable needs a column
+      // some input supplies, and one column per variable.
+      if (hypergraph.Degree(v) == 0)
+        return Status::InvalidArgument("free variable " + std::to_string(v) +
+                                       " occurs in no hyperedge");
+      if (std::find(free_vars.begin(), free_vars.begin() + i, v) !=
+          free_vars.begin() + i)
+        return Status::InvalidArgument("free variable " + std::to_string(v) +
+                                       " listed twice");
+    }
     if (var_ops.size() != static_cast<size_t>(hypergraph.num_vertices()))
       return Status::InvalidArgument("var_ops must cover every vertex");
     // Product aggregates (⊕(i) = ⊗) cannot be pushed below a join without

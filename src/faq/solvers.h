@@ -1,19 +1,18 @@
-// Centralized FAQ solvers:
-//
-//  * BruteForceSolve — joins everything, then eliminates bound variables in
-//    the canonical innermost-first order of Eq. (4). Exponential; the
-//    ground-truth oracle for tests.
-//  * YannakakisSolve — the GHD message-passing upward pass of Theorem G.3:
-//    O~(N) for acyclic H, with aggregate push-down (Corollary G.2) at every
-//    node. Each node runs one step, internal::SolveNode, which the standing
-//    queries of ivm/standing_query.h share. The step picks its join plan
-//    from the node: an edge bag folds its children's messages with the
-//    pairwise Join (each message lies inside the bag, so no intermediate
-//    outgrows the edge), and the synthetic core bag of Construction 2.8 runs
-//    JoinAndEliminate, which sends the cyclic core through the
-//    worst-case-optimal MultiwayJoin (relation/multiway.h). The peak
-//    materialization there is the core's output, not a pairwise
-//    intermediate — the central twin of the protocols' core finish.
+// Centralized FAQ solver: YannakakisSolve, the GHD message-passing upward
+// pass of Theorem G.3 — O~(N) for acyclic H, with aggregate push-down
+// (Corollary G.2) at every node. Each node runs one step,
+// internal::SolveNode, which the standing queries of ivm/standing_query.h
+// and the protocol schedule share. Every validated FAQ runs on its plan: a
+// free variable is never aggregated, so a node keeps the free columns its
+// operands carry and hands them up to the root, whether or not one bag holds
+// all of F. The step picks its join plan from the node and its operands: an
+// edge bag whose operands all lie inside it folds them with the pairwise
+// Join (no intermediate outgrows the edge); anything else — the synthetic
+// core bag of Construction 2.8, or a bag that receives carried free columns
+// — runs JoinAndEliminate, which sends three or more operands through the
+// worst-case-optimal MultiwayJoin (relation/multiway.h). The peak
+// materialization there is the join's output, not a pairwise intermediate —
+// the central twin of the protocols' core finish.
 //
 // Every solver threads one ExecContext through the sorted-relation kernel
 // (relation/ops.h): operators reuse the context's scratch buffers and
@@ -137,30 +136,44 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
 
 /// One node step of the GHD upward pass (Theorem G.3): ⊗ the operands
 /// `parts` (in join order), then ⊕-eliminate every variable outside
-/// keep(v) — χ(parent(v)) below the root (Corollary G.2 push-down; RIP
-/// guarantees those variables occur nowhere else), F at the root, where the
-/// result is also projected to F's column order. The operands are the
-/// node's own relation (absent at a synthetic bag, whose input is the unit)
-/// and its children's messages; the ring propagation of
+/// keep(v) — χ(parent(v)) ∪ F below the root (Corollary G.2 push-down; RIP
+/// guarantees that a bound variable outside χ(parent) occurs nowhere else),
+/// F at the root, where the result is also projected to F's column order.
+/// Free variables are never aggregated, so carrying their columns up is
+/// exact on any decomposition. When F ⊆ χ(root), RIP already keeps every
+/// free column below the root, so keep(v) adds nothing to χ(parent(v)). The
+/// operands are the node's own relation (absent at a synthetic bag, whose
+/// input is the unit) and its children's messages; the ring propagation of
 /// ivm/standing_query.h passes a delta in place of one of them.
 ///
-/// The join plan comes from the decomposition, never from an option:
-///  * an edge bag (edge_id >= 0) folds the operands with the pairwise Join.
-///    Every child message lies inside the bag (χ(c) ∩ χ(v) ⊆ χ(v)), so
-///    no intermediate of the chain can outgrow the edge's relation;
-///  * the synthetic core bag of Construction 2.8 (edge_id < 0) runs
-///    JoinAndEliminate, so the cyclic core goes through MultiwayJoin and no
-///    pairwise intermediate exceeds the core's worst-case output size. Its
-///    operands are copied in: MultiwayJoin consumes its inputs.
+/// The join plan comes from the decomposition and the operands, never from
+/// an option:
+///  * an edge bag (edge_id >= 0) whose operands all lie inside χ(v) folds
+///    them with the pairwise Join: no intermediate of the chain can outgrow
+///    the edge's relation;
+///  * the synthetic core bag of Construction 2.8 (edge_id < 0), or a bag an
+///    operand reaches outside of (carried free columns), runs
+///    JoinAndEliminate, so three or more operands go through MultiwayJoin
+///    and no pairwise intermediate exceeds their worst-case output size.
+///    The operands are copied in: MultiwayJoin consumes its inputs.
 template <CommutativeSemiring S>
 Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
                       const std::vector<const Relation<S>*>& parts,
                       ExecContext* ctx = nullptr) {
+  const GhdNode& node = ghd.node(v);
   const bool root = v == ghd.root();
-  const std::vector<VarId>& keep =
-      root ? q.free_vars : ghd.node(ghd.node(v).parent).chi;
+  std::vector<VarId> keep = q.free_vars;
+  if (!root) {
+    const std::vector<VarId>& up = ghd.node(node.parent).chi;
+    keep.insert(keep.end(), up.begin(), up.end());
+  }
+  bool pairwise = node.edge_id >= 0;
+  for (const Relation<S>* p : parts)
+    for (VarId x : p->schema().vars())
+      pairwise = pairwise &&
+                 std::binary_search(node.chi.begin(), node.chi.end(), x);
   Relation<S> out;
-  if (ghd.node(v).edge_id >= 0) {
+  if (pairwise) {
     TOPOFAQ_CHECK_MSG(!parts.empty(), "SolveNode: edge bag without operands");
     out = parts.size() == 1 ? *parts[0] : Join(*parts[0], *parts[1], ctx);
     for (size_t i = 2; i < parts.size(); ++i) out = Join(out, *parts[i], ctx);
@@ -174,18 +187,6 @@ Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
   }
   if (root) return Project(out, q.free_vars, ctx);
   return out;
-}
-
-/// F ⊆ χ(root), the Appendix G.5 restriction every GHD pass needs.
-template <CommutativeSemiring S>
-Status CheckFreeVarsInRoot(const FaqQuery<S>& q, const Ghd& ghd) {
-  const std::vector<VarId>& root_chi = ghd.node(ghd.root()).chi;
-  for (VarId v : q.free_vars)
-    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-      return Status::FailedPrecondition(
-          "free variable " + std::to_string(v) +
-          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
-  return Status::Ok();
 }
 
 /// The operands of v's step in the full pass: v's own relation (none at a
@@ -204,33 +205,17 @@ std::vector<const Relation<S>*> PassOperands(
 
 }  // namespace internal
 
-/// Ground-truth solver. Returns a relation over exactly `free_vars`.
-/// Cooperative cancellation: when the context carries a fired cancel token
-/// (server/engine.h), returns Status::Cancelled — checked between operator
-/// calls, plus at every morsel boundary inside parallel operators.
-template <CommutativeSemiring S>
-Result<Relation<S>> BruteForceSolve(const FaqQuery<S>& q,
-                                    ExecContext* ctx = nullptr) {
-  TOPOFAQ_RETURN_IF_ERROR(q.Validate());
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  if (cx.cancelled()) return Status::Cancelled("query cancelled before solve");
-  Relation<S> acc =
-      internal::JoinAndEliminate(q.relations, q.free_vars, q, ctx);
-  if (cx.cancelled()) return Status::Cancelled("query cancelled mid-solve");
-  return Project(acc, q.free_vars, ctx);
-}
-
-/// Theorem G.3 solver over a supplied decomposition; free variables must lie
-/// in the root bag (F ⊆ V(C(H)), the Appendix G.5 restriction).
+/// Theorem G.3 solver over a supplied decomposition. Any valid GHD of H
+/// serves: free variables outside χ(root) ride up to the root (SolveNode).
 template <CommutativeSemiring S>
 Result<Relation<S>> YannakakisSolveOn(const FaqQuery<S>& q, const GyoGhd& gg,
                                       ExecContext* ctx = nullptr) {
   TOPOFAQ_RETURN_IF_ERROR(q.Validate());
   const Ghd& ghd = gg.ghd;
-  TOPOFAQ_RETURN_IF_ERROR(internal::CheckFreeVarsInRoot(q, ghd));
 
   // Upward pass: msgs[v] = v's step over its children's messages — a
-  // relation over χ(v) ∩ χ(parent(v)), or the answer over F at the root.
+  // relation over the variables its operands carry inside keep(v), or the
+  // answer over F at the root.
   // Every operator below shares `ctx`'s scratch buffers.
   ExecContext& cx = ExecContext::Resolve(ctx);
   std::vector<Relation<S>> msgs(static_cast<size_t>(ghd.num_nodes()));
@@ -248,26 +233,19 @@ Result<Relation<S>> YannakakisSolveOn(const FaqQuery<S>& q, const GyoGhd& gg,
 }
 
 /// Theorem G.3 solver using the canonical minimized decomposition; when F is
-/// non-empty the decomposition is re-rooted so that F ⊆ χ(root) whenever the
-/// query shape permits it. Decompositions come from the process-wide
-/// PlanCache (ghd/plan_cache.h), so repeated query shapes skip the
-/// GYO/width search entirely — both lookup paths are deterministic, hence a
+/// non-empty the decomposition is re-rooted so that F ⊆ χ(root) whenever an
+/// acyclic query shape permits it (otherwise the free columns ride up to the
+/// root). Decompositions come from the process-wide PlanCache
+/// (ghd/plan_cache.h), so repeated query shapes skip the GYO/width search
+/// entirely — both lookup paths are deterministic, hence a
 /// cache hit produces bit-identical plans and answers; the cache's
 /// hit/miss counters are the observability surface (PlanCache::stats).
 template <CommutativeSemiring S>
 Result<Relation<S>> YannakakisSolve(const FaqQuery<S>& q,
                                     ExecContext* ctx = nullptr) {
-  auto w = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
-  if (!w.ok()) return w.status();
-  return YannakakisSolveOn(q, w->decomposition, ctx);
-}
-
-/// Convenience for BCQ: true iff the query is satisfiable.
-inline Result<bool> SolveBcq(const FaqQuery<BooleanSemiring>& q,
-                             ExecContext* ctx = nullptr) {
-  auto r = YannakakisSolve(q, ctx);
-  if (!r.ok()) return r.status();
-  return !r->empty();
+  return YannakakisSolveOn(
+      q, PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars)->decomposition,
+      ctx);
 }
 
 }  // namespace topofaq

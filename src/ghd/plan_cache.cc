@@ -75,49 +75,17 @@ WidthResult PlanCache::Canonical(const Hypergraph& h, bool* was_hit) {
   return GetOrCompute(key, [&] { return ComputeWidth(h); }, was_hit);
 }
 
-Result<WidthResult> PlanCache::WithRoot(
-    const Hypergraph& h, const std::vector<VarId>& required_root_vars,
-    int restarts, uint64_t seed, bool* was_hit) {
-  const std::string key = Fingerprint(h, required_root_vars, restarts, seed);
-  if (was_hit != nullptr) *was_hit = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      if (was_hit != nullptr) *was_hit = true;
-      return it->second->second;
-    }
-  }
-  // Probe-then-compute keeps failures out of the cache: only successful
-  // plans are inserted.
-  auto w = MinimizeWidthWithRoot(h, required_root_vars, restarts, seed);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
-  if (!w.ok()) return w.status();
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) {  // racing compute landed first; identical value
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-  }
-  lru_.emplace_front(key, *std::move(w));
-  by_key_[key] = lru_.begin();
-  while (capacity_ > 0 && lru_.size() > capacity_) {
-    by_key_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  return lru_.front().second;
-}
-
 Result<WidthResult> PlanCache::PlanFor(const Hypergraph& h,
                                        const std::vector<VarId>& free_vars,
                                        bool* was_hit) {
   if (free_vars.empty()) return Canonical(h, was_hit);
+  constexpr int kRestarts = 4;
+  constexpr uint64_t kSeed = 1;
   std::vector<VarId> f = free_vars;
   std::sort(f.begin(), f.end());
-  return WithRoot(h, f, /*restarts=*/4, /*seed=*/1, was_hit);
+  return GetOrCompute(
+      Fingerprint(h, f, kRestarts, kSeed),
+      [&] { return MinimizeWidthWithRoot(h, f, kRestarts, kSeed); }, was_hit);
 }
 
 PlanCache::Stats PlanCache::stats() const {

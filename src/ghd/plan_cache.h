@@ -49,21 +49,13 @@ class PlanCache {
   /// cache (the engine stamps it into QueryResult::plan_cache_hit).
   WidthResult Canonical(const Hypergraph& h, bool* was_hit = nullptr);
 
-  /// Cached MinimizeWidthWithRoot(h, required_root_vars, restarts, seed).
-  /// `required_root_vars` must be sorted (callers already sort free vars).
-  /// Failures (no bag can host the root vars) are NOT cached: they are
-  /// data-independent but cheap to rediscover and keep the cache pure.
-  Result<WidthResult> WithRoot(const Hypergraph& h,
-                               const std::vector<VarId>& required_root_vars,
-                               int restarts, uint64_t seed,
-                               bool* was_hit = nullptr);
-
   /// The one planning rule every execution surface shares (YannakakisSolve,
   /// Engine::Submit, StandingQuery::Create): F = ∅ takes the canonical
-  /// decomposition, non-empty F takes the rooted search with fixed
-  /// restarts/seed — identical keys on every path, so a query shape planned
-  /// by any surface is a cache hit for all of them, and all of them execute
-  /// the same (bit-identical) plan.
+  /// decomposition, non-empty F takes the MinimizeWidthWithRoot search with
+  /// fixed restarts/seed — identical keys on every path, so a query shape
+  /// planned by any surface is a cache hit for all of them, and all of them
+  /// execute the same (bit-identical) plan. Every H gets a plan, so the
+  /// result is always ok.
   Result<WidthResult> PlanFor(const Hypergraph& h,
                               const std::vector<VarId>& free_vars,
                               bool* was_hit = nullptr);

@@ -154,9 +154,9 @@ WidthResult ComputeWidth(const Hypergraph& h) {
   return Assemble(BuildGyoGhd(h), &h);
 }
 
-Result<WidthResult> MinimizeWidthWithRoot(const Hypergraph& h,
-                                           const std::vector<VarId>& required_vars,
-                                           int restarts, uint64_t seed) {
+WidthResult MinimizeWidthWithRoot(const Hypergraph& h,
+                                  const std::vector<VarId>& required_vars,
+                                  int restarts, uint64_t seed) {
   auto covers = [&](const std::vector<VarId>& bag) {
     for (VarId v : required_vars)
       if (!std::binary_search(bag.begin(), bag.end(), v)) return false;
@@ -167,9 +167,7 @@ Result<WidthResult> MinimizeWidthWithRoot(const Hypergraph& h,
     return base;
   // Single-tree acyclic case: any node can be made the root.
   const CoreForest& cf = base.decomposition.core_forest;
-  if (!cf.core_edges.empty() || cf.root_edges.size() != 1)
-    return Status::FailedPrecondition(
-        "required free variables are not contained in V(C(H))");
+  if (!cf.core_edges.empty() || cf.root_edges.size() != 1) return base;
   const Ghd& ghd = base.decomposition.ghd;
   for (int v = 0; v < ghd.num_nodes(); ++v) {
     if (!covers(ghd.node(v).chi) || ghd.node(v).edge_id < 0) continue;
@@ -185,8 +183,7 @@ Result<WidthResult> MinimizeWidthWithRoot(const Hypergraph& h,
     out.decomposition = std::move(gg);
     return out;
   }
-  return Status::FailedPrecondition(
-      "no hyperedge bag contains all required free variables");
+  return base;
 }
 
 WidthResult MinimizeWidth(const Hypergraph& h, int restarts, uint64_t seed) {

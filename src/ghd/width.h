@@ -27,13 +27,15 @@ WidthResult ComputeWidth(const Hypergraph& h);
 /// canonical one. Ties prefer smaller n2.
 WidthResult MinimizeWidth(const Hypergraph& h, int restarts, uint64_t seed);
 
-/// Like MinimizeWidth, but guarantees the root bag contains `required_vars`
-/// (needed when the FAQ's free variables F must lie in V(C(H)); for acyclic
-/// single-tree H the join tree is re-rooted at a node covering F). Fails if
-/// no bag covers the variables or the hypergraph's core cannot host them.
-Result<WidthResult> MinimizeWidthWithRoot(const Hypergraph& h,
-                                          const std::vector<VarId>& required_vars,
-                                          int restarts, uint64_t seed);
+/// Like MinimizeWidth, but roots the decomposition at a bag containing
+/// `required_vars` when one can host them: the canonical root when it does,
+/// else, for acyclic single-tree H, the join tree re-rooted at a covering
+/// node. Otherwise it returns MinimizeWidth's plan unchanged — the GHD pass
+/// carries free variables outside χ(root) up to the root (faq/solvers.h),
+/// so every plan serves; only the protocols need F ⊆ χ(root).
+WidthResult MinimizeWidthWithRoot(const Hypergraph& h,
+                                  const std::vector<VarId>& required_vars,
+                                  int restarts, uint64_t seed);
 
 }  // namespace topofaq
 

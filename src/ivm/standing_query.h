@@ -62,20 +62,18 @@ class StandingQuery {
 
   /// Plans q through the shared PlanCache (identical keys to
   /// YannakakisSolve — a standing query warms the same plan one-shot
-  /// queries hit) and runs the full pass once. Fails with
-  /// FailedPrecondition when F ⊈ V(C(H)) (Appendix G.5): standing queries
-  /// have no brute-force fallback, because only the GHD pass has
-  /// incrementally maintainable state.
+  /// queries hit) and runs the full pass once. Every validated query has a
+  /// plan, so only validation can fail.
   static Result<StandingQuery> Create(FaqQuery<S> q,
                                       ExecContext* ctx = nullptr) {
     TOPOFAQ_RETURN_IF_ERROR(q.Validate());
-    auto w = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
-    if (!w.ok()) return w.status();
     StandingQuery sq;
+    sq.gg_ = PlanCache::Shared()
+                 .PlanFor(q.hypergraph, q.free_vars)
+                 .value()
+                 .decomposition;
     sq.q_ = std::move(q);
-    sq.gg_ = std::move(w->decomposition);
     const Ghd& ghd = sq.gg_.ghd;
-    TOPOFAQ_RETURN_IF_ERROR(internal::CheckFreeVarsInRoot(sq.q_, ghd));
     sq.node_of_relation_.assign(sq.q_.relations.size(), -1);
     for (int v = 0; v < ghd.num_nodes(); ++v) {
       const int e = ghd.node(v).edge_id;

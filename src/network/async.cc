@@ -7,20 +7,13 @@
 
 namespace topofaq {
 
-AsyncNetwork::AsyncNetwork(Graph g, LinkParams link) : g_(std::move(g)) {
+AsyncNetwork::AsyncNetwork(Graph g, LinkParams link)
+    : g_(std::move(g)), link_(link) {
   TOPOFAQ_CHECK_MSG(link.latency >= 0, "negative link latency");
   TOPOFAQ_CHECK_MSG(link.bandwidth_bits > 0, "bandwidth must be positive");
-  links_.assign(g_.num_edges(), link);
   busy_until_.assign(g_.num_edges(), {0, 0});
   busy_time_.assign(g_.num_edges(), {0, 0});
   handlers_.resize(g_.num_nodes());
-}
-
-void AsyncNetwork::SetLink(int edge, LinkParams p) {
-  TOPOFAQ_CHECK(edge >= 0 && edge < g_.num_edges());
-  TOPOFAQ_CHECK_MSG(p.latency >= 0, "negative link latency");
-  TOPOFAQ_CHECK_MSG(p.bandwidth_bits > 0, "bandwidth must be positive");
-  links_[edge] = p;
 }
 
 void AsyncNetwork::SetHandler(NodeId node, Handler h) {
@@ -38,13 +31,11 @@ void AsyncNetwork::Send(NodeId from, NodeId to, Packet p) {
   TOPOFAQ_CHECK_MSG(edge >= 0, "Send endpoints are not adjacent");
   TOPOFAQ_CHECK(p.bits >= 0);
   const int dir = g_.edge(edge).first == from ? 0 : 1;
-  const LinkParams& link = links_[edge];
-  const SimTime serialize = static_cast<SimTime>(p.bits) / link.bandwidth_bits;
+  const SimTime serialize = static_cast<SimTime>(p.bits) / link_.bandwidth_bits;
   const SimTime start = std::max(now_, busy_until_[edge][dir]);
   busy_until_[edge][dir] = start + serialize;
   busy_time_[edge][dir] += serialize;
   total_bits_ += p.bits;
-  ++packets_;
   if (trace_ != nullptr) {
     // One span per packet on the (edge, direction) track, in simulated time
     // (1 unit exported as 1 µs). Duration is the serialization interval
@@ -70,7 +61,7 @@ void AsyncNetwork::Send(NodeId from, NodeId to, Packet p) {
     trace_->Emit(p.control ? "ctl" : "page", slot - 1,
                  obs::ClockDomain::kSimulated, start, serialize, args);
   }
-  const SimTime arrive = start + serialize + link.latency;
+  const SimTime arrive = start + serialize + link_.latency;
   heap_.push(Event{arrive, next_event_id_++,
                    [this, to, p = std::move(p)]() mutable {
                      TOPOFAQ_CHECK_MSG(static_cast<bool>(handlers_[to]),

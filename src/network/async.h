@@ -64,12 +64,10 @@ class AsyncNetwork {
  public:
   using Handler = std::function<void(Packet)>;
 
-  /// Every edge starts with `link`; override per edge with SetLink.
+  /// Every edge runs with `link`.
   AsyncNetwork(Graph g, LinkParams link);
 
   const Graph& graph() const { return g_; }
-  void SetLink(int edge, LinkParams p);
-  const LinkParams& link(int edge) const { return links_[edge]; }
 
   /// Installs the arrival callback for packets whose next hop is `node`.
   void SetHandler(NodeId node, Handler h);
@@ -95,7 +93,6 @@ class AsyncNetwork {
   SimTime makespan() const { return makespan_; }
   /// Total payload bits ever serialized onto any channel.
   int64_t total_bits() const { return total_bits_; }
-  int64_t packets_sent() const { return packets_; }
 
   /// Serialization time spent on (edge, direction) so far.
   SimTime BusyTime(int edge, bool forward) const {
@@ -132,7 +129,7 @@ class AsyncNetwork {
   };
 
   Graph g_;
-  std::vector<LinkParams> links_;
+  LinkParams link_;
   std::vector<std::array<SimTime, 2>> busy_until_;  // per edge, per direction
   std::vector<std::array<SimTime, 2>> busy_time_;
   std::vector<Handler> handlers_;
@@ -141,7 +138,6 @@ class AsyncNetwork {
   SimTime now_ = 0;
   SimTime makespan_ = 0;
   int64_t total_bits_ = 0;
-  int64_t packets_ = 0;
   obs::TraceSession* trace_ = nullptr;
   /// Track id + 1 per (edge, direction); 0 = not yet registered (tracks are
   /// registered lazily so idle links never clutter the export).

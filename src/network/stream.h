@@ -160,7 +160,6 @@ class StreamNet {
 
   int64_t pages_shipped() const { return ledger_.total_pages(); }
   int64_t max_in_flight_pages() const { return ledger_.peak_pages(); }
-  const InFlightLedger& ledger() const { return ledger_; }
 
   /// Actual payload bits shipped (annotations + column chunks as encoded,
   /// dictionaries included; framing/credits excluded) — what the packets'

@@ -88,6 +88,19 @@ struct StarStep {
 
 namespace internal {
 
+/// F ⊆ χ(root), the Appendix G.5 restriction the core-forest protocol keeps
+/// (the central GHD pass has no such restriction).
+template <CommutativeSemiring S>
+Status CheckFreeVarsInRoot(const FaqQuery<S>& q, const Ghd& ghd) {
+  const std::vector<VarId>& root_chi = ghd.node(ghd.root()).chi;
+  for (VarId v : q.free_vars)
+    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
+      return Status::FailedPrecondition(
+          "free variable " + std::to_string(v) +
+          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
+  return Status::Ok();
+}
+
 /// The decomposition the core-forest protocol runs on: width-minimized,
 /// re-rooted so F ⊆ χ(root) when F is non-empty, with the Appendix G.5
 /// precondition checked.
@@ -95,23 +108,11 @@ template <CommutativeSemiring S>
 Result<WidthResult> CoreForestDecomposition(const FaqQuery<S>& q) {
   constexpr int kWidthRestarts = 8;
   constexpr uint64_t kWidthSeed = 0xfa0;
-  WidthResult w;
-  if (q.free_vars.empty()) {
-    w = MinimizeWidth(q.hypergraph, kWidthRestarts, kWidthSeed);
-  } else {
-    std::vector<VarId> f = q.free_vars;
-    std::sort(f.begin(), f.end());
-    auto rooted =
-        MinimizeWidthWithRoot(q.hypergraph, f, kWidthRestarts, kWidthSeed);
-    if (!rooted.ok()) return rooted.status();
-    w = std::move(rooted.value());
-  }
-  const Ghd& ghd = w.decomposition.ghd;
-  const auto& root_chi = ghd.node(ghd.root()).chi;
-  for (VarId v : q.free_vars)
-    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-      return Status::FailedPrecondition(
-          "free variable outside V(C(H)) (Appendix G.5)");
+  std::vector<VarId> f = q.free_vars;
+  std::sort(f.begin(), f.end());
+  WidthResult w =
+      MinimizeWidthWithRoot(q.hypergraph, f, kWidthRestarts, kWidthSeed);
+  TOPOFAQ_RETURN_IF_ERROR(CheckFreeVarsInRoot(q, w.decomposition.ghd));
   return w;
 }
 

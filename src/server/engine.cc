@@ -21,27 +21,6 @@ struct Assessed {
   uint64_t domain = 2;
 };
 
-/// Executes one typed query with the job's strategy. The context already
-/// carries the session's cancel token and the class parallelism.
-template <CommutativeSemiring S>
-Result<Relation<S>> RunSolver(const FaqQuery<S>& q, Strategy strategy,
-                              ExecContext& ctx) {
-  switch (strategy) {
-    case Strategy::kBruteForce:
-      return BruteForceSolve(q, &ctx);
-    case Strategy::kYannakakis:
-      return YannakakisSolve(q, &ctx);
-    case Strategy::kAuto:
-      break;
-  }
-  Result<Relation<S>> ans = YannakakisSolve(q, &ctx);
-  // Appendix G.5: the GHD pass requires F ⊆ V(C(H)). Shapes outside that
-  // restriction fall back to the brute-force oracle.
-  if (!ans.ok() && ans.status().code() == StatusCode::kFailedPrecondition)
-    return BruteForceSolve(q, &ctx);
-  return ans;
-}
-
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
@@ -177,10 +156,7 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
   }
 
   // Plan through the shared cache with the exact keys YannakakisSolve will
-  // use, so submission warms the plan the execution consumes. When the
-  // rooted search fails (free vars outside the core — the brute-force
-  // fallback shapes), the canonical decomposition still provides y/n2 for
-  // admission.
+  // use, so submission warms the plan the execution consumes.
   const Hypergraph& h = std::visit(
       [](const auto& q) -> const Hypergraph& { return q.hypergraph; },
       req.query);
@@ -188,11 +164,7 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
   WidthResult width;
   {
     obs::Span sp(tr.get(), "plan", track);
-    auto w = PlanCache::Shared().PlanFor(h, a.free_vars, &plan_hit);
-    if (w.ok())
-      width = *std::move(w);
-    else
-      width = PlanCache::Shared().Canonical(h, &plan_hit);
+    width = PlanCache::Shared().PlanFor(h, a.free_vars, &plan_hit).value();
   }
   (plan_hit ? m_.plan_hit : m_.plan_miss)->Add();
 
@@ -324,7 +296,7 @@ void Engine::RunJob(Job& job, ExecContext& ctx) {
       return Status::Cancelled("query cancelled while queued");
     return std::visit(
         [&](const auto& q) -> Result<QueryResult> {
-          auto ans = RunSolver(q, job.req.strategy, ctx);
+          auto ans = YannakakisSolve(q, &ctx);
           if (!ans.ok()) return ans.status();
           if (ctx.cancelled())
             return Status::Cancelled("query cancelled mid-solve");
@@ -399,11 +371,9 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
   const Hypergraph& h = std::visit(
       [](const auto& q) -> const Hypergraph& { return q.hypergraph; },
       req.query);
-  auto w = PlanCache::Shared().PlanFor(h, a.free_vars);
-  if (!w.ok()) return w.status();  // no brute-force fallback for subscriptions
-
+  WidthResult w = PlanCache::Shared().PlanFor(h, a.free_vars).value();
   const QueryBounds bounds =
-      admission_.Assess(h, a.profiles, a.free_vars.size(), a.domain, *w);
+      admission_.Assess(h, a.profiles, a.free_vars.size(), a.domain, w);
   const Status admit = admission_.Admit(bounds);
   if (!admit.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -422,7 +392,7 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
         if (!sq.ok()) return sq.status();
         return std::shared_ptr<StandingSession>(new StandingSession(
             this, AnyStandingQuery(*std::move(sq)), std::move(a.profiles),
-            a.domain, *std::move(w)));
+            a.domain, std::move(w)));
       },
       req.query);
 }

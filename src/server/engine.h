@@ -29,9 +29,8 @@
 // surfaces Status::Cancelled. Queued queries cancel without running.
 //
 // This is the one public solve surface: examples, benches, and the shell go
-// through Engine::Solve. BruteForceSolve / YannakakisSolve remain available
-// as strategies (and as the differential oracle in tests), selected via
-// QueryRequest::strategy.
+// through Engine::Solve, which runs every validated query on its GHD plan
+// (YannakakisSolve, faq/solvers.h) — there is no second solver to pick.
 #ifndef TOPOFAQ_SERVER_ENGINE_H_
 #define TOPOFAQ_SERVER_ENGINE_H_
 
@@ -102,10 +101,9 @@ class Engine {
   /// Statically-typed convenience: callers that know their semiring get the
   /// answer relation back directly.
   template <CommutativeSemiring S>
-  Result<Relation<S>> Solve(FaqQuery<S> q, Strategy strategy = Strategy::kAuto) {
+  Result<Relation<S>> Solve(FaqQuery<S> q) {
     QueryRequest req;
     req.query = std::move(q);
-    req.strategy = strategy;
     Result<QueryResult> r = Solve(std::move(req));
     if (!r.ok()) return r.status();
     return r->answer_as<S>();
@@ -113,11 +111,9 @@ class Engine {
 
   /// Subscription mode (docs/ivm.md): plans + admits like Submit, runs the
   /// full pass once on the calling thread, and returns a live session whose
-  /// answer stays current under StandingSession::ApplyDelta. Standing
-  /// queries require the GHD pass (F ⊆ V(C(H))): shapes Solve would finish
-  /// by brute force come back FailedPrecondition here, because only the
-  /// Yannakakis pass has incrementally maintainable state. The engine must
-  /// outlive the returned session.
+  /// answer stays current under StandingSession::ApplyDelta. Every query
+  /// Solve accepts can subscribe: both run the same GHD pass. The engine
+  /// must outlive the returned session.
   Result<std::shared_ptr<StandingSession>> Subscribe(QueryRequest req);
 
   EngineStats stats() const;

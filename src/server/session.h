@@ -38,14 +38,8 @@ using AnyRelation =
                  Relation<CountingSemiring>, Relation<MinPlusSemiring>,
                  Relation<MaxProductSemiring>, Relation<Gf2Semiring>>;
 
-/// Which solver runs the query. kAuto prefers the Theorem G.3 GHD pass and
-/// falls back to the brute-force oracle only when the free-variable set is
-/// unsupported by the decomposition (the Appendix G.5 restriction).
-enum class Strategy { kAuto = 0, kYannakakis, kBruteForce };
-
 struct QueryRequest {
   AnyQuery query;
-  Strategy strategy = Strategy::kAuto;
   /// Caller-chosen label, echoed in logs and shell output.
   std::string tag;
 };

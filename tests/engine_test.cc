@@ -17,6 +17,7 @@
 #include "faq/parse.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
+#include "oracle.h"
 #include "random_instances.h"
 #include "server/engine.h"
 #include "util/rng.h"
@@ -24,15 +25,13 @@
 namespace topofaq {
 namespace {
 
-/// Mirrors the engine's kAuto strategy on a private serial context: the
-/// direct-call baseline the engine must reproduce byte for byte.
+/// The engine's solver called directly on a private serial context: the
+/// baseline the engine must reproduce byte for byte.
 template <CommutativeSemiring S>
-Relation<S> DirectAuto(const FaqQuery<S>& q) {
+Relation<S> DirectSolve(const FaqQuery<S>& q) {
   ExecContext ctx;
   ctx.parallelism = 1;
   auto ans = YannakakisSolve(q, &ctx);
-  if (!ans.ok() && ans.status().code() == StatusCode::kFailedPrecondition)
-    ans = BruteForceSolve(q, &ctx);
   EXPECT_TRUE(ans.ok()) << ans.status().ToString();
   return *std::move(ans);
 }
@@ -49,7 +48,7 @@ struct Flight {
   QueueClass want_class;
 
   void Launch(Engine& engine, const FaqQuery<S>& q, QueueClass want) {
-    expected = DirectAuto(q);
+    expected = DirectSolve(q);
     want_class = want;
     QueryRequest req;
     req.query = q;
@@ -77,8 +76,9 @@ TEST(Engine, ConcurrentQueriesBitIdenticalToDirectCalls) {
   const Hypergraph star = StarGraph(4);   // acyclic, one shared attribute
   const Hypergraph cycle = CycleGraph(3); // y = 1: heavy class
 
-  // 16 concurrent queries: 4 semirings x {path point lookup, star BCQ,
-  // cyclic heavy, brute-force-strategy oracle}. All in flight at once on 3
+  // 13 concurrent queries: 4 semirings x {path point lookup, star BCQ,
+  // cyclic heavy}, plus a path with both ends free (no bag covers F, so the
+  // free columns ride up to the root). All in flight at once on 3
   // dispatchers, multiplexing the process WorkerPool at morsel granularity.
   Flight<BooleanSemiring> b1, b2, b3;
   Flight<NaturalSemiring> n1, n2, n3;
@@ -124,22 +124,19 @@ TEST(Engine, ConcurrentQueriesBitIdenticalToDirectCalls) {
             RandomQuery<MinPlusSemiring>(cycle, 400, 24, 12, {}),
             QueueClass::kHeavy);
 
-  // Brute-force strategy selected explicitly, against its own oracle call.
-  auto qb = RandomQuery<NaturalSemiring>(cycle, 120, 12, 13, {});
-  ExecContext oracle_ctx;
-  auto oracle = BruteForceSolve(qb, &oracle_ctx);
+  // F = {0, 2} on the path: no bag covers it. The answer must match the
+  // direct solve and the brute-force oracle.
+  auto qf = RandomQuery<NaturalSemiring>(path, 120, 12, 13, {0, 2});
+  auto oracle = BruteForceSolve(qf);
   ASSERT_TRUE(oracle.ok());
-  QueryRequest brute_req;
-  brute_req.query = qb;
-  brute_req.strategy = Strategy::kBruteForce;
-  auto brute_session = engine.Submit(std::move(brute_req));
+  Flight<NaturalSemiring> uncovered;
+  uncovered.Launch(engine, qf, QueueClass::kPoint);
 
   b1.Check(); n1.Check(); c1.Check(); m1.Check();
   b2.Check(); n2.Check(); c2.Check(); m2.Check();
   b3.Check(); n3.Check(); c3.Check(); m3.Check();
-  auto brute = brute_session->Wait();
-  ASSERT_TRUE(brute.ok()) << brute.status().ToString();
-  EXPECT_TRUE(BytesEqual(*oracle, brute->answer_as<NaturalSemiring>()));
+  uncovered.Check();
+  EXPECT_TRUE(oracle->EqualsAsFunction(uncovered.expected));
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 13);
@@ -181,7 +178,7 @@ TEST(Engine, CancelledQueryReturnsCancelledAndEngineStaysUsable) {
   auto followup = RandomQuery<NaturalSemiring>(PathGraph(2), 200, 40, 22, {0});
   auto again = engine.Solve(followup);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_TRUE(BytesEqual(DirectAuto(followup), *again));
+  EXPECT_TRUE(BytesEqual(DirectSolve(followup), *again));
 
   const EngineStats stats = engine.stats();
   EXPECT_GE(stats.cancelled, 1);
@@ -189,14 +186,11 @@ TEST(Engine, CancelledQueryReturnsCancelledAndEngineStaysUsable) {
 
 TEST(Engine, SolversReturnCancelledOnPreFiredToken) {
   // The solver-level contract, no engine involved: a context whose token is
-  // already set yields kCancelled from both solvers.
+  // already set yields kCancelled.
   auto q = RandomQuery<CountingSemiring>(CycleGraph(3), 100, 16, 31, {});
   std::atomic<bool> flag{true};
   ExecContext ctx;
   ctx.cancel = &flag;
-  auto a = BruteForceSolve(q, &ctx);
-  ASSERT_FALSE(a.ok());
-  EXPECT_EQ(a.status().code(), StatusCode::kCancelled);
   auto b = YannakakisSolve(q, &ctx);
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kCancelled);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "faq/solvers.h"
+#include "oracle.h"
 #include "relation/exec.h"
 #include "relation/ops.h"
 #include "util/rng.h"

@@ -3,6 +3,7 @@
 // join, semijoin and PGM-marginal specializations (Appendix G.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,8 +14,11 @@
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
 #include "ivm/standing_query.h"
+#include "mcm/protocols.h"
+#include "oracle.h"
 #include "random_instances.h"
 #include "relation/encoding.h"
+#include "server/engine.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -114,61 +118,88 @@ TEST(Yannakakis, HandlesCyclicCores) {
   }
 }
 
-// The synthetic core bag of Construction 2.8 runs JoinAndEliminate (and so
-// MultiwayJoin) inside the one GHD node step that YannakakisSolve and the
-// standing queries share. Per cyclic shape, semiring and parallelism: the
-// answer is function-equal to brute force, and StandingQuery::Current() is
-// byte-equal to a fresh YannakakisSolve after Create and after a delta on a
-// core edge and on the last edge — in ring mode (Natural) and in recompute
-// mode (the rest).
-struct CoreShape {
+// Every shape runs through the one GHD node step that YannakakisSolve, the
+// engine and the standing queries share. Two kinds of shape:
+//  * cyclic cores: the synthetic core bag of Construction 2.8 is the root
+//    and runs JoinAndEliminate (and so MultiwayJoin);
+//  * free variables no root bag covers (H1 with F = {B, C}, the path with
+//    both ends free, triangle+pendant with F at the far edge), plus
+//    McmAsFaq's chain: the free columns ride up to the root.
+// Per shape, semiring and parallelism: the answer is function-equal to the
+// brute-force oracle, Engine::Solve and a subscription's Current() are
+// byte-equal to a fresh YannakakisSolve, and stay so after a delta on the
+// first and on the last relation — in ring mode (Natural, GF(2)) and in
+// recompute mode (the rest).
+struct PassShape {
   const char* name;
   Hypergraph h;
   std::vector<VarId> free_vars;
+  bool core_root;
 };
 
-std::vector<CoreShape> CoreShapes() {
+std::vector<PassShape> PassShapes() {
   const Hypergraph pendant(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
-  return {{"triangle", CycleGraph(3), {}},
-          {"4-cycle", CycleGraph(4), {0}},
-          {"5-cycle", CycleGraph(5), {0, 2}},
-          {"triangle+path", pendant, {1}}};
+  Rng rng(97);
+  McmInstance mcm;
+  mcm.x = BitVector::Random(4, &rng);
+  for (int i = 0; i < 3; ++i)
+    mcm.matrices.push_back(BitMatrix::Random(4, &rng));
+  const FaqQuery<Gf2Semiring> chain = McmAsFaq(mcm);
+  return {{"triangle", CycleGraph(3), {}, true},
+          {"4-cycle", CycleGraph(4), {0}, true},
+          {"5-cycle", CycleGraph(5), {0, 2}, true},
+          {"triangle+path", pendant, {1}, true},
+          {"H1 F={B,C}", PaperH1(), {1, 2}, false},
+          {"path F={A,D}", PathGraph(3), {0, 3}, false},
+          {"triangle+path F={3,4}", pendant, {3, 4}, false},
+          {"mcm chain", chain.hypergraph, chain.free_vars, false}};
 }
 
 template <CommutativeSemiring S>
-void CheckCoreRouting(uint64_t seed0) {
+void CheckPassShapes(uint64_t seed0) {
   uint64_t seed = seed0;
-  for (const CoreShape& sh : CoreShapes()) {
-    for (int p : {1, 2}) {
+  for (int p : {1, 2}) {
+    EngineOptions opts;
+    opts.parallelism = p;
+    Engine engine(opts);
+    ExecContext ctx;
+    ctx.parallelism = p;
+    for (const PassShape& sh : PassShapes()) {
       ++seed;
       SCOPED_TRACE(InstanceLabel(std::string(sh.name) + " p=" +
                                      std::to_string(p), seed));
-      ExecContext ctx;
-      ctx.parallelism = p;
       FaqQuery<S> q = RandomQuery<S>(sh.h, 60, 12, seed, sh.free_vars);
       auto plan = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      ASSERT_LT(plan->decomposition.ghd.node(plan->decomposition.ghd.root())
-                    .edge_id, 0) << "no synthetic core bag at the root";
-      auto sq = StandingQuery<S>::Create(q, &ctx);
-      ASSERT_TRUE(sq.ok()) << sq.status().ToString();
-      EXPECT_EQ(sq->ring_mode(), (std::is_same_v<S, NaturalSemiring>));
+      const Ghd& ghd = plan->decomposition.ghd;
+      if (sh.core_root)
+        ASSERT_LT(ghd.node(ghd.root()).edge_id, 0)
+            << "no synthetic core bag at the root";
+      QueryRequest req;
+      req.query = q;
+      auto ss = engine.Subscribe(std::move(req));
+      ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+      EXPECT_EQ((*ss)->ring_mode(),
+                RingTraits<S>::kIsRing && RingTraits<S>::kExact);
       for (int round = 0; round < 3; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
         auto yk = YannakakisSolve(q, &ctx);
         auto bf = BruteForceSolve(q, &ctx);
-        ASSERT_TRUE(yk.ok() && bf.ok());
+        auto solved = engine.Solve<S>(q);
+        ASSERT_TRUE(yk.ok() && bf.ok() && solved.ok())
+            << solved.status().ToString();
         EXPECT_TRUE(bf->EqualsAsFunction(*yk));
-        EXPECT_TRUE(BytesEqual(sq->Current(), *yk));
+        EXPECT_TRUE(BytesEqual(*solved, *yk));
+        EXPECT_TRUE(BytesEqual((*ss)->Current<S>(), *yk));
         if (round == 2) break;
-        // Round 0 touches a core edge, round 1 the last edge.
         const int rel =
             round == 0 ? 0 : static_cast<int>(q.relations.size()) - 1;
         const Relation<S>& base = q.relations[static_cast<size_t>(rel)];
         Delta<S> d = RandomDelta<S>(base, 12, seed + 100 + round,
                                     base.size() / 4, 15);
         Delta<S> d2 = d;
-        ASSERT_TRUE(sq->ApplyDelta(rel, std::move(d), &ctx).ok());
+        auto applied = (*ss)->ApplyDelta(rel, std::move(d));
+        ASSERT_TRUE(applied.ok()) << applied.status().ToString();
         ASSERT_TRUE(ApplyDeltaToQuery(&q, rel, std::move(d2), &ctx).ok());
       }
       if (::testing::Test::HasFailure()) return;
@@ -176,11 +207,13 @@ void CheckCoreRouting(uint64_t seed0) {
   }
 }
 
-TEST(Yannakakis, CyclicCoresRouteThroughTheNodeStep) {
-  CheckCoreRouting<BooleanSemiring>(7100);
-  CheckCoreRouting<NaturalSemiring>(7200);
-  CheckCoreRouting<MinPlusSemiring>(7300);
-  CheckCoreRouting<MaxProductSemiring>(7400);
+TEST(Yannakakis, EveryShapeRunsThroughTheNodeStep) {
+  CheckPassShapes<BooleanSemiring>(7100);
+  CheckPassShapes<NaturalSemiring>(7200);
+  CheckPassShapes<MinPlusSemiring>(7300);
+  CheckPassShapes<MaxProductSemiring>(7400);
+  CheckPassShapes<CountingSemiring>(7700);
+  CheckPassShapes<Gf2Semiring>(7800);
 }
 
 TEST(Yannakakis, NonRootCoreBagKeepsItsParentBag) {
@@ -258,15 +291,23 @@ TEST(Yannakakis, LeafPrivateFreeVariableWorksViaRerooting) {
   EXPECT_TRUE(bf->EqualsAsFunction(*yk));
 }
 
-TEST(Yannakakis, RejectsFreeVariablesNoBagCovers) {
-  // F = {B, C}: no hyperedge of H1 contains both, so no valid root exists
-  // (Appendix G.5 restriction).
+TEST(Yannakakis, SolvesFreeVariablesNoBagCovers) {
+  // F = {B, C}: no hyperedge of H1 contains both, so no root bag covers F.
+  // The pass carries both free columns up to the root instead.
   Rng rng(41);
   auto q = RandomFaqSS<NaturalSemiring>(PaperH1(), 8, 3, &rng, NatVal,
                                         /*free=*/{1, 2});
+  auto plan = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
+  ASSERT_TRUE(plan.ok());
+  const Ghd& ghd = plan->decomposition.ghd;
+  const std::vector<VarId>& root_chi = ghd.node(ghd.root()).chi;
+  EXPECT_FALSE(std::includes(root_chi.begin(), root_chi.end(),
+                             q.free_vars.begin(), q.free_vars.end()));
   auto yk = YannakakisSolve(q);
-  EXPECT_FALSE(yk.ok());
-  EXPECT_EQ(yk.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(yk.ok()) << yk.status().ToString();
+  auto bf = BruteForceSolve(q);
+  ASSERT_TRUE(bf.ok());
+  EXPECT_TRUE(bf->EqualsAsFunction(*yk));
 }
 
 TEST(Yannakakis, GeneralFaqWithMixedAggregates) {
@@ -348,6 +389,17 @@ TEST(Faq, ValidateCatchesShapeErrors) {
   Relation<BooleanSemiring> right{Schema({1, 2})};
   auto q = MakeBcq(h, {wrong, right});
   EXPECT_FALSE(q.Validate().ok());
+  // F must name distinct variables that some edge supplies: the answer has
+  // one column per free variable.
+  Relation<BooleanSemiring> left{Schema({0, 1})};
+  auto isolated = MakeFaqSS<BooleanSemiring>(Hypergraph(4, {{0, 1}, {1, 2}}),
+                                             {left, right}, {3});
+  EXPECT_EQ(isolated.Validate().code(), StatusCode::kInvalidArgument);
+  auto repeated = MakeFaqSS<BooleanSemiring>(h, {left, right}, {0, 0});
+  EXPECT_EQ(repeated.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MakeFaqSS<BooleanSemiring>(h, {left, right}, {0, 2})
+                  .Validate()
+                  .ok());
 }
 
 TEST(Faq, DomainSizeTracksData) {

@@ -10,6 +10,7 @@
 #include "lowerbounds/bounds.h"
 #include "lowerbounds/embeddings.h"
 #include "lowerbounds/tribes.h"
+#include "oracle.h"
 #include "protocols/distributed.h"
 
 namespace topofaq {

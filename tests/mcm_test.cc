@@ -6,6 +6,7 @@
 #include "lowerbounds/bounds.h"
 #include "mcm/bitmatrix.h"
 #include "mcm/protocols.h"
+#include "oracle.h"
 
 namespace topofaq {
 namespace {

@@ -17,6 +17,7 @@
 #include "faq/query.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
+#include "oracle.h"
 #include "random_instances.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"

@@ -13,6 +13,7 @@
 
 #include "bit_identity.h"
 #include "faq/solvers.h"
+#include "oracle.h"
 #include "relation/exec.h"
 #include "relation/ops.h"
 #include "relation/parallel.h"

@@ -5,8 +5,10 @@
 
 #include "graphalg/topologies.h"
 #include "hypergraph/generators.h"
+#include "oracle.h"
 #include "protocols/async.h"
 #include "protocols/distributed.h"
+#include "relation/encoding.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -278,6 +280,34 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ProtocolSweep,
                          ::testing::Combine(::testing::Range(0, 6),
                                             ::testing::Range(0, 5)));
 
+TEST(CoreForest, FreeVariablesOutsideTheCoreAreRefused) {
+  // F = {B, C} on H1: no bag covers F. The central pass carries free columns
+  // up to its root, but the protocols keep the paper's F ⊆ V(C(H))
+  // restriction (Appendix G.5) on both clocks.
+  Rng rng(53);
+  const Hypergraph h = PaperH1();
+  std::vector<Relation<NaturalSemiring>> rels;
+  for (int e = 0; e < h.num_edges(); ++e)
+    rels.push_back(RandomRelation<NaturalSemiring>(h.edge(e), 8, 3, &rng));
+  DistInstance<NaturalSemiring> inst;
+  inst.query = MakeFaqSS<NaturalSemiring>(h, std::move(rels), {1, 2});
+  inst.topology = LineTopology(4);
+  inst.owners = RoundRobinOwners(h.num_edges(), 4);
+  inst.sink = 0;
+  auto sync = RunCoreForestProtocol(inst);
+  ASSERT_FALSE(sync.ok());
+  EXPECT_EQ(sync.status().code(), StatusCode::kFailedPrecondition);
+  auto async = RunCoreForestProtocolAsync(inst);
+  ASSERT_FALSE(async.ok());
+  EXPECT_EQ(async.status().code(), StatusCode::kFailedPrecondition);
+  // The trivial protocol gathers everything at the sink: any F is fine.
+  auto trivial = RunTrivialProtocol(inst);
+  ASSERT_TRUE(trivial.ok()) << trivial.status().ToString();
+  auto central = BruteForceSolve(inst.query);
+  ASSERT_TRUE(central.ok());
+  EXPECT_TRUE(trivial->answer.EqualsAsFunction(*central));
+}
+
 TEST(CoreForest, AllRelationsOnOnePlayerStillWorks) {
   // |K| < k: several functions on one node (exploited by the lower bounds).
   auto query = StarBcqWorkload(4, 64);
@@ -311,7 +341,9 @@ TEST(CoreForest, StatsAccumulateBits) {
 /// Rounds, bits, makespans and page counts are deterministic functions of
 /// the instance, so any drift is a cost-model change, not noise. The stream
 /// options are set explicitly so the TOPOFAQ_PAGE_BUDGET environment cannot
-/// move the event-clock counts.
+/// move the event-clock counts, and the encoding mode is pinned to plain
+/// because the event clock's wire bits price columns as encoded, so a
+/// forced TOPOFAQ_ENCODING would move them.
 struct LedgerCost {
   int64_t rounds;
   int64_t total_bits;
@@ -372,6 +404,7 @@ TEST(ProtocolCosts, PinnedOnFixedInstances) {
   AsyncProtocolOptions async;
   async.stream.page_rows = 4;
   async.stream.node_page_budget = 2;
+  ScopedEncodingMode plain(EncodingMode::kPlain);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     Rng rng(90);
