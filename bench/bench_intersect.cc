@@ -1,24 +1,23 @@
-// Microbench for the SIMD sorted-key kernels (relation/simd.h): pairwise
-// set intersection, the leapfrog frontier step, and the gallop-closing
-// lower bound, each timed scalar-vs-SIMD on the same inputs in the same
-// run. The "speedup" field of every row is scalar_ms / simd_ms — a
-// machine-neutral ratio CI gates with an absolute floor (SIMD must beat
-// the scalar twin by >= 1.5x on the low-selectivity intersection rows; see
-// ci.yml). reference_ms holds the scalar timing so the relative
+// Microbench for the SIMD sorted-key kernels the kernel runs
+// (relation/simd.h): the leapfrog frontier step MultiwayJoin drives and the
+// gallop-closing lower bound, each timed scalar-vs-SIMD on the same inputs
+// in the same run. The "speedup" field of every row is scalar_ms / simd_ms
+// — a machine-neutral ratio CI gates with an absolute floor (the SIMD
+// frontier must beat its scalar twin by >= 1.5x on the low-selectivity
+// sets; see ci.yml). reference_ms holds the scalar timing so the relative
 // regression gate of check_bench_regression.py normalizes the same way as
 // the other microbenches.
 //
 // Selectivity s = fraction of a-positions whose value occurs in b. Low s
 // is the regime the frontier block-skip is built for (whole blocks retire
-// on two compares); s = 0.5 stresses the all-pairs match path and the
-// shuffle compaction.
+// on two compares).
 //
-// Every timed pair is also a differential check: scalar and SIMD outputs
-// are compared byte-for-byte and a mismatch aborts the bench.
+// Every timed pair is also a differential check: scalar and SIMD results
+// are compared and a mismatch aborts the bench.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -44,7 +43,6 @@ constexpr size_t kN = 1 << 17;  // elements per side; >= 1e5 so timing is signal
 /// non-shared parts are disjoint by parity and the selectivity is exact.
 struct Sets {
   std::vector<Value> a64, b64;
-  std::vector<uint32_t> a32, b32;
 };
 
 Sets MakeSets(double sel, std::mt19937_64* rng) {
@@ -59,50 +57,12 @@ Sets MakeSets(double sel, std::mt19937_64* rng) {
     s.a64[i] = s.b64[(*rng)() % kN];
   for (size_t i = shared; i < kN; ++i) s.a64[i] = dist(*rng) * 2 + 1;
   std::sort(s.a64.begin(), s.a64.end());
-  // Same sets in the narrow lane domain (values < 2^31 by construction).
-  s.a32.assign(s.a64.begin(), s.a64.end());
-  s.b32.assign(s.b64.begin(), s.b64.end());
   return s;
 }
 
 void Fatal(const char* what) {
   std::fprintf(stderr, "FATAL: SIMD output differs from scalar in %s\n", what);
   std::abort();
-}
-
-void BenchIntersect64(std::vector<Row>* rows, const Sets& s,
-                      const char* name, int reps) {
-  std::vector<Value> out_s(kN), out_v(kN);
-  size_t cs = 0, cv = 0;
-  const double scalar_ms = bench::TimeMs(reps, [&] {
-    cs = simd::ScalarIntersectU64(s.a64.data(), kN, s.b64.data(), kN,
-                                  out_s.data());
-  });
-  const double simd_ms = bench::TimeMs(reps, [&] {
-    cv = simd::IntersectU64(s.a64.data(), kN, s.b64.data(), kN, out_v.data(),
-                            nullptr);
-  });
-  if (cs != cv || std::memcmp(out_s.data(), out_v.data(), cs * sizeof(Value)))
-    Fatal(name);
-  rows->push_back({name, kN, cs, simd_ms, scalar_ms});
-}
-
-void BenchIntersect32(std::vector<Row>* rows, const Sets& s,
-                      const char* name, int reps) {
-  std::vector<uint32_t> out_s(kN), out_v(kN);
-  size_t cs = 0, cv = 0;
-  const double scalar_ms = bench::TimeMs(reps, [&] {
-    cs = simd::ScalarIntersectU32(s.a32.data(), kN, s.b32.data(), kN,
-                                  out_s.data());
-  });
-  const double simd_ms = bench::TimeMs(reps, [&] {
-    cv = simd::IntersectU32(s.a32.data(), kN, s.b32.data(), kN, out_v.data(),
-                            nullptr);
-  });
-  if (cs != cv ||
-      std::memcmp(out_s.data(), out_v.data(), cs * sizeof(uint32_t)))
-    Fatal(name);
-  rows->push_back({name, kN, cs, simd_ms, scalar_ms});
 }
 
 /// Drives the frontier step to exhaustion — the multiway k == 2 loop shape.
@@ -210,23 +170,9 @@ int main(int argc, char** argv) {
               "scalar_ms", "speedup");
   std::mt19937_64 rng(0x70F0FA9u);
   std::vector<Row> rows;
-  const struct {
-    double sel;
-    const char* suff;
-  } kSel[] = {{1e-4, "s1e4"}, {1e-3, "s1e3"}, {1e-2, "s1e2"},
-              {1e-1, "s1e1"}, {0.5, "s50"}};
-  for (const auto& sc : kSel) {
-    const Sets s = MakeSets(sc.sel, &rng);
-    char name[64];
-    std::snprintf(name, sizeof(name), "intersect64_%s", sc.suff);
-    BenchIntersect64(&rows, s, name, reps);
-    std::snprintf(name, sizeof(name), "intersect32_%s", sc.suff);
-    BenchIntersect32(&rows, s, name, reps);
-    if (sc.sel == 1e-2) {
-      BenchFrontier64(&rows, s, "frontier64_s1e2", reps);
-      BenchGallop64(&rows, s, "gallop64_w128", reps, &rng);
-    }
-  }
+  const Sets s = MakeSets(1e-2, &rng);
+  BenchFrontier64(&rows, s, "frontier64_s1e2", reps);
+  BenchGallop64(&rows, s, "gallop64_w128", reps, &rng);
   for (const Row& r : rows)
     std::printf("%-18s %9zu %9zu %9.3f %10.3f %7.2fx\n", r.bench.c_str(), r.n,
                 r.out_rows, r.simd_ms, r.scalar_ms, r.scalar_ms / r.simd_ms);

@@ -41,7 +41,7 @@
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
-#include "relation/reference_ops.h"
+#include "tests/reference_ops.h"
 #include "util/rng.h"
 
 namespace topofaq {

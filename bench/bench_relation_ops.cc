@@ -1,7 +1,7 @@
 // Sorted-relation kernel microbenchmark: join and eliminate throughput at
 // 1e3–1e6 rows, for the sort-merge kernel (relation/ops.h) — serial and
 // morsel-parallel — vs. the retained hash-based reference
-// (relation/reference_ops.h). Results are printed as a table and appended as
+// (tests/reference_ops.h). Results are printed as a table and appended as
 // JSON to BENCH_relation_ops.json so the perf trajectory of the kernel is
 // recorded across PRs; bench/check_bench_regression.py gates CI on it.
 //
@@ -38,11 +38,12 @@
 #include <vector>
 
 #include "bench/bench_micro_common.h"
+#include "bench/scan_checksum.h"
 #include "relation/encoding.h"
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
-#include "relation/reference_ops.h"
+#include "tests/reference_ops.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -223,7 +224,7 @@ NRel SkewedRel(const std::vector<VarId>& vars, size_t n, uint64_t seed) {
 }
 
 /// scan_skew: the scan fold running directly over the bit-packed key
-/// column (EncodedColumn::ScanChecksum — vectorized quad unpack, no
+/// column (ScanChecksum, bench/scan_checksum.h — vectorized quad unpack, no
 /// materialization) vs the same fold over the plain column.
 /// footprint_skew: the resident-bytes ratio of the same input,
 /// deterministic and floored in CI.
@@ -244,7 +245,7 @@ void BenchScanSkew(std::vector<Row>* rows, size_t n, int reps) {
   const double k1 = TimeMs(reps, [&] {
     uint64_t total = 0;
     for (int it = 0; it < kScanInner; ++it) {
-      total = e0->ScanChecksum(0, enc.size(), enc.annots().data());
+      total = ScanChecksum(*e0, 0, enc.size(), enc.annots().data());
       asm volatile("" ::: "memory");
     }
     enc_acc = total;

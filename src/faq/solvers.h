@@ -64,9 +64,11 @@ inline std::vector<VarId> VarsOutside(const Schema& sc,
 /// Eliminates `vars` from r with each variable's own aggregate, batched:
 /// Eliminate() orders them descending (the Eq. (4) innermost-first order
 /// restricted to this bag) and groups once per run of equal aggregates.
+/// With nothing to eliminate, r passes through: no operator call, no copy.
 template <CommutativeSemiring S>
 Relation<S> EliminateAll(Relation<S> r, std::vector<VarId> vars,
                          const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
+  if (vars.empty()) return r;
   std::vector<VarOp> ops;
   ops.reserve(vars.size());
   for (VarId v : vars) ops.push_back(q.OpFor(v));

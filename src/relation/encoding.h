@@ -234,17 +234,6 @@ struct EncodedColumn {
     VisitValues(begin, end, [&out](size_t, Value v) { *out++ = v; });
   }
 
-  /// Fused scan fold Σ (3·value_i + annots_i) over [begin, end), mod 2^64 —
-  /// the annotation-weighted column checksum the scan benches and the
-  /// plain/encoded differential checks probe scan throughput with. Runs
-  /// directly over the packed codes; on x86 with AVX2 the quad window is
-  /// unpacked with one variable-shift per four lanes and folded in vector
-  /// accumulators (dict codes resolve through a gathered table lookup),
-  /// which is where packing the keys turns into scan *speed*, not just
-  /// footprint. Scalar VisitValues fallback elsewhere.
-  uint64_t ScanChecksum(size_t begin, size_t end,
-                        const uint64_t* annots) const;
-
   /// VisitValues body, templated over the code->value map so the dict/FOR
   /// branch is hoisted out of the loops.
   template <typename Dec, typename Fn>
@@ -329,59 +318,7 @@ inline bool CpuHasAvx2() {
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
 }
-
-/// AVX2 body of EncodedColumn::ScanChecksum for widths <= 14: one scalar
-/// 8-byte load covers four codes ((bit % 8) + 4·width <= 63), a per-lane
-/// variable shift (vpsrlv) splits them into four 64-bit lanes, and the
-/// 3·key + annot fold stays in vector accumulators end to end.
-__attribute__((target("avx2"))) inline uint64_t ScanChecksumAvx2(
-    const EncodedColumn& e, size_t begin, size_t end, const uint64_t* annots) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(e.words.data());
-  const size_t w = e.width;
-  const __m256i shifts =
-      _mm256_set_epi64x(static_cast<long long>(3 * w),
-                        static_cast<long long>(2 * w),
-                        static_cast<long long>(w), 0);
-  const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(e.mask()));
-  const __m256i base = _mm256_set1_epi64x(static_cast<long long>(e.base));
-  const bool isdict = e.encoding == ColumnEncoding::kDict;
-  const auto* dict = reinterpret_cast<const long long*>(e.dict.data());
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = begin;
-  size_t bit = begin * w;
-  for (; i + 4 <= end; i += 4, bit += 4 * w) {
-    uint64_t v;
-    std::memcpy(&v, bytes + (bit >> 3), sizeof v);
-    v >>= (bit & 7);
-    const __m256i codes = _mm256_and_si256(
-        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(v)),
-                          shifts),
-        mask);
-    const __m256i keys = isdict ? _mm256_i64gather_epi64(dict, codes, 8)
-                                : _mm256_add_epi64(codes, base);
-    const __m256i ann =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(annots + i));
-    const __m256i k3 = _mm256_add_epi64(keys, _mm256_slli_epi64(keys, 1));
-    acc = _mm256_add_epi64(acc, _mm256_add_epi64(k3, ann));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < end; ++i) s += 3 * e.At(i) + annots[i];
-  return s;
-}
 #endif  // TOPOFAQ_X86_SIMD
-
-inline uint64_t EncodedColumn::ScanChecksum(size_t begin, size_t end,
-                                            const uint64_t* annots) const {
-#if defined(TOPOFAQ_X86_SIMD)
-  if (width <= 14 && end - begin >= 8 && CpuHasAvx2())
-    return ScanChecksumAvx2(*this, begin, end, annots);
-#endif
-  uint64_t s = 0;
-  VisitValues(begin, end, [&](size_t i, Value v) { s += 3 * v + annots[i]; });
-  return s;
-}
 
 /// Sequential packed-code reader: a rolling bit cursor over an
 /// EncodedColumn — one unaligned load + shift per code, no positional

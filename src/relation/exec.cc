@@ -10,7 +10,6 @@ namespace topofaq {
 OpStats ExecContext::Totals() const {
   OpStats t;
   t += join;
-  t += semijoin;
   t += project;
   t += eliminate;
   t += multiway;
@@ -19,7 +18,6 @@ OpStats ExecContext::Totals() const {
 
 void ExecContext::ResetStats() {
   join = OpStats{};
-  semijoin = OpStats{};
   project = OpStats{};
   eliminate = OpStats{};
   multiway = OpStats{};
@@ -53,7 +51,6 @@ ExecContext& ExecContext::WorkerContext(int i) {
 std::string ExecContext::DebugString() const {
   std::string out;
   out += obs::FormatOpStats("join", join);
-  out += obs::FormatOpStats("semijoin", semijoin);
   out += obs::FormatOpStats("project", project);
   out += obs::FormatOpStats("eliminate", eliminate);
   out += obs::FormatOpStats("multiway", multiway);

@@ -1,6 +1,6 @@
 // Execution context for the sorted-relation kernel (see docs/kernel.md).
 //
-// Every relational operator (Join / Semijoin / Project / Eliminate) threads
+// Every relational operator (Join / Project / Eliminate / MultiwayJoin) threads
 // an ExecContext through its hot loop. The context serves three purposes:
 //
 //  1. Scratch reuse: operators borrow the context's row/permutation buffers
@@ -157,7 +157,6 @@ class ExecContext {
 
   // Per-operator statistics.
   OpStats join;
-  OpStats semijoin;
   OpStats project;
   OpStats eliminate;
   OpStats multiway;

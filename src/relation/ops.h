@@ -1,7 +1,9 @@
-// Relational algebra over semiring-annotated relations: natural join ⋈,
-// semijoin ⋉ (Definitions 3.4/3.5), projection with ⊕-aggregation, and
-// multi-variable elimination with per-variable aggregates (the push-down
-// step of Corollary G.2 / Algorithm 3).
+// Relational algebra over semiring-annotated relations: natural join ⋈
+// (Definition 3.4), projection with ⊕-aggregation, and multi-variable
+// elimination with per-variable aggregates (the push-down step of
+// Corollary G.2 / Algorithm 3). These, with MultiwayJoin (multiway.h), are
+// every operator a plan runs; the semijoin of Appendix G.1 is itself an FAQ
+// (Boolean, F = ar(R1)) and is answered as one.
 //
 // All operators run on the sorted-relation kernel (docs/kernel.md): inputs
 // are consumed through key-order row permutations — the identity, with no
@@ -10,8 +12,8 @@
 // nondecreasing row order wherever the access pattern allows, so the result
 // is certified canonical without a closing sort. At most one permutation
 // sort per input is paid when key orderings mismatch. The seed hash-based
-// operators survive in reference_ops.h for differential tests and speedup
-// benchmarks.
+// operators survive in tests/reference_ops.h for differential tests and
+// speedup benchmarks.
 //
 // Storage is columnar (docs/kernel.md, "Columnar storage"), and columns may
 // arrive *compressed* (relation/encoding.h). Every kernel below has exactly
@@ -475,60 +477,6 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
   }
 }
 
-/// Emits the semijoin survivors among left rows [xb, xe) (original row
-/// order) into `b`; the serial Semijoin loop parameterized over the range.
-/// Survivors are appended column-to-column (RelationBuilder::AppendFrom)
-/// through the `lall` views, with no row-gather buffer.
-template <typename A, CommutativeSemiring S>
-void SemijoinEmitRange(const Relation<S>& left, const Relation<S>& right,
-                       const typename A::Col* lall, const typename A::Col* lk,
-                       const typename A::Col* rk, size_t nk, const size_t* rpm,
-                       bool lmono, const RunDirectory& dir, size_t xb,
-                       size_t xe, RelationBuilder<S>* b, OpStats* st) {
-  const size_t rn = right.size();
-  if (xb >= xe || rn == 0) return;
-  int64_t* const cmps = &st->comparisons;
-
-  const Value* rk0 =
-      (nk == 1 && rpm == nullptr) ? RawMergeColumn(rk[0]) : nullptr;
-  const bool vec = rk0 != nullptr && simd::Available();
-  if (lmono && nk == 1 && rpm == nullptr && !vec) ++st->scalar_fallbacks;
-
-  size_t j = 0;
-  if (lmono && xb > 0) j = RightLowerBound<A>(rk, nk, rn, rpm, lk, xb, cmps);
-
-  bool have_prev = false;
-  size_t prev_x = 0;
-  bool matched = false;
-  for (size_t x = xb; x < xe; ++x) {
-    if (!have_prev || !KeysEqualAt<A>(lk, x, prev_x, nk)) {
-      if (lmono && vec) {
-        const Value key = A::At(lk[0], x);
-        const size_t jn = simd::AdvanceU64(rk0, j, rn, key, /*strict=*/false,
-                                           &st->simd_blocks);
-        *cmps += static_cast<int64_t>(jn - j) + 1;
-        j = jn;
-        matched = j < rn && rk0[j] == key;
-      } else if (lmono) {
-        while (j < rn &&
-               CompareKeysAt<A>(rk, rpm ? rpm[j] : j, lk, x, nk) < 0) {
-          ++*cmps;
-          ++j;
-        }
-        ++*cmps;
-        matched =
-            j < rn && CompareKeysAt<A>(rk, rpm ? rpm[j] : j, lk, x, nk) == 0;
-      } else {
-        auto [lo, hi] = DirProbe<A>(dir, rk, nk, rn, rpm, lk, x, cmps);
-        matched = lo != hi;
-      }
-    }
-    have_prev = true;
-    prev_x = x;
-    if (matched) b->AppendFrom(lall, x, left.annot(x));
-  }
-}
-
 /// Emits the projections of traversal positions [tb, te) (kept-column
 /// order via `perm`; nullptr = identity — the canonical-prefix case, spared
 /// the permutation stream entirely) into `b`; collapsing rows merge
@@ -910,94 +858,6 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
   return out;
 }
 
-/// The Semijoin body, one instantiation per access policy.
-template <typename A, CommutativeSemiring S>
-Relation<S> SemijoinImpl(const Relation<S>& left, const Relation<S>& right,
-                         ExecContext* ctx) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  OpStats& st = cx.semijoin;
-  ++st.calls;
-  st.rows_in += static_cast<int64_t>(left.size() + right.size());
-
-  const SchemaIndex ridx(right.schema());
-  std::vector<int>& lpos = cx.pos_a;
-  std::vector<int>& rpos = cx.pos_b;
-  lpos.clear();
-  rpos.clear();
-  for (size_t i = 0; i < left.arity(); ++i) {
-    const int rp = ridx.PositionOf(left.schema().var(i));
-    if (rp >= 0) {
-      lpos.push_back(static_cast<int>(i));
-      rpos.push_back(rp);
-    }
-  }
-
-  GatherCols<A>(left, lpos, &ScratchCols<A>::a(cx));
-  GatherCols<A>(right, rpos, &ScratchCols<A>::b(cx));
-  GatherAllCols<A>(left, &ScratchCols<A>::d(cx));
-  const typename A::Col* lk = ScratchCols<A>::a(cx).data();
-  const typename A::Col* rk = ScratchCols<A>::b(cx).data();
-  const typename A::Col* lall = ScratchCols<A>::d(cx).data();
-  const size_t nk = lpos.size();
-  const size_t ln = left.size();
-  const size_t rn = right.size();
-
-  // Right side key-ordered; identity when the key is a canonical prefix.
-  const size_t* rpm = nullptr;
-  if (IsCanonicalKeyPrefix(right, rpos)) {
-    ++st.sort_skips;
-  } else {
-    KeyOrderPerm<A>(right, rpos, cx, &cx.perm_b, &st);
-    rpm = cx.perm_b.data();
-  }
-
-  // Left keys arrive monotonically only when left is canonical and the key
-  // is its schema prefix (the traversal below is in original row order).
-  const bool lmono = IsCanonicalKeyPrefix(left, lpos);
-
-  // Parallel only for canonical left: the output is then a concatenation of
-  // canonical subsequences; a non-canonical left would make piece-local
-  // canonicalization orders observable.
-  const int workers = left.canonical() ? PlannedWorkers(cx, ln) : 1;
-  if (workers > 1 && rn > 0) {
-    RunDirectory dir;
-    std::vector<size_t> shard_cuts;
-    if (!lmono) {
-      shard_cuts = BuildShardedRunDirectory<A>(cx, workers, rk, nk, rn, rpm);
-      dir.shards = &cx.table_shards;
-      dir.shard_cuts = &shard_cuts;
-    }
-    Relation<S> out = MorselRun<S>(
-        cx, workers, left.schema(), ln,
-        [&](size_t t) { return !KeysEqualAt<A>(lk, t, t - 1, nk); }, &st,
-        [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
-          b->Reserve(xe - xb);
-          SemijoinEmitRange<A>(left, right, lall, lk, rk, nk, rpm, lmono, dir,
-                               xb, xe, b, &wc.semijoin);
-        });
-    for (int w = 0; w < workers; ++w) {
-      ExecContext& wc = cx.WorkerContext(w);
-      st += wc.semijoin;
-      wc.semijoin = OpStats{};
-    }
-    st.rows_out += static_cast<int64_t>(out.size());
-    return out;
-  }
-
-  RunDirectory dir;
-  if (!lmono && ln > 0 && rn > 0) {
-    BuildRunDirectory<A>(rk, nk, rn, rpm, &cx.table);
-    dir.single = &cx.table;
-  }
-  RelationBuilder<S> b{left.schema()};
-  b.Reserve(ln);
-  SemijoinEmitRange<A>(left, right, lall, lk, rk, nk, rpm, lmono, dir, 0, ln,
-                       &b, &st);
-  Relation<S> out = b.Build();
-  st.rows_out += static_cast<int64_t>(out.size());
-  return out;
-}
-
 /// The Project body, one instantiation per access policy.
 template <typename A, CommutativeSemiring S>
 Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
@@ -1161,35 +1021,6 @@ Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
   return out;
 }
 
-/// Semijoin left ⋉ right: rows of `left` whose projection onto the shared
-/// variables matches some non-zero row of `right`; annotations of `left`
-/// are kept unchanged (Definition 3.5 semantics).
-///
-/// Left rows are tested in their original order against a key-ordered right
-/// side (linear merge when the left key is a canonical schema prefix, hashed
-/// run-directory probes otherwise; the right-side sort is skipped when its
-/// key is a canonical schema prefix) — for a canonical left input the output
-/// is a canonical subsequence and never needs sorting. A canonical left also
-/// unlocks the morsel-parallel path (ctx->parallelism > 1): disjoint
-/// key-aligned slices of the left filter independently and concatenate.
-template <CommutativeSemiring S>
-Relation<S> Semijoin(const Relation<S>& left, const Relation<S>& right,
-                     ExecContext* ctx = nullptr) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  const bool enc = left.any_encoded() || right.any_encoded();
-  if (cx.trace == nullptr) {
-    return enc ? internal::SemijoinImpl<EncodedAccess>(left, right, &cx)
-               : internal::SemijoinImpl<PlainAccess>(left, right, &cx);
-  }
-  obs::Span sp(cx.trace, "semijoin", cx.trace_track);
-  const OpStats before = cx.semijoin;
-  Relation<S> out = enc
-                        ? internal::SemijoinImpl<EncodedAccess>(left, right, &cx)
-                        : internal::SemijoinImpl<PlainAccess>(left, right, &cx);
-  sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.semijoin)));
-  return out;
-}
-
 /// π with ⊕-aggregation: projects onto `keep` (which must be a subset of the
 /// schema), summing annotations of collapsing rows with S::Add.
 ///
@@ -1307,26 +1138,6 @@ Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
   if (cx.trace != nullptr)
     sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(op_before, st)));
   return src == &r ? r : std::move(cur);
-}
-
-/// Eliminates a single variable `v` with aggregate `op`: groups rows by the
-/// remaining variables and folds annotations of each group with `op`. This is
-/// one ⊕(i) application of Eq. (4).
-template <CommutativeSemiring S>
-Relation<S> EliminateVar(const Relation<S>& r, VarId v, VarOp op,
-                         ExecContext* ctx = nullptr) {
-  TOPOFAQ_CHECK_MSG(r.schema().Contains(v), "eliminated variable not in schema");
-  return Eliminate(r, std::vector<VarId>{v}, std::vector<VarOp>{op}, ctx);
-}
-
-/// Intersection of two same-schema relations: tuples present (non-zero) in
-/// both, annotations multiplied. A full-key sort-merge Join — linear with no
-/// sort at all when both sides are canonical.
-template <CommutativeSemiring S>
-Relation<S> Intersect(const Relation<S>& a, const Relation<S>& b,
-                      ExecContext* ctx = nullptr) {
-  TOPOFAQ_CHECK_MSG(a.schema() == b.schema(), "intersection needs equal schemas");
-  return Join(a, b, ctx);
 }
 
 /// The full relation [N]^arity × {1} on `schema` with domain [0, n) — used by

@@ -789,51 +789,6 @@ class RelationBuilder {
     annots_.insert(annots_.end(), annots.begin() + start, annots.end());
   }
 
-  /// Appends row `row` read through per-column base pointers with annotation
-  /// `v`, column to column — no row-gather buffer (the Semijoin survivor
-  /// path, plain instantiation).
-  void AppendFrom(const Value* const* cols, size_t row, SemiringValue v) {
-    if (!annots_.empty()) {
-      const size_t last = annots_.size() - 1;
-      int cmp = 0;
-      for (size_t j = 0; j < arity_ && cmp == 0; ++j) {
-        const Value x = cols_[j][last];
-        const Value y = cols[j][row];
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp == 0) {
-        annots_.back() = S::Add(annots_.back(), v);
-        return;
-      }
-      if (cmp > 0) sorted_ = false;
-    }
-    for (size_t j = 0; j < arity_; ++j) cols_[j].push_back(cols[j][row]);
-    annots_.push_back(v);
-  }
-
-  /// Appends row `row` read through per-column views with annotation `v`,
-  /// column to column — no row-gather buffer (the Semijoin survivor path).
-  /// Views decode at this emission point; worker threads use this overload
-  /// (never the relation's col() cache).
-  void AppendFrom(const ColView* cols, size_t row, SemiringValue v) {
-    if (!annots_.empty()) {
-      const size_t last = annots_.size() - 1;
-      int cmp = 0;
-      for (size_t j = 0; j < arity_ && cmp == 0; ++j) {
-        const Value x = cols_[j][last];
-        const Value y = cols[j].At(row);
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp == 0) {
-        annots_.back() = S::Add(annots_.back(), v);
-        return;
-      }
-      if (cmp > 0) sorted_ = false;
-    }
-    for (size_t j = 0; j < arity_; ++j) cols_[j].push_back(cols[j].At(row));
-    annots_.push_back(v);
-  }
-
   /// Finalizes into a canonical relation. The builder is left empty and
   /// reusable for the same schema.
   Relation<S> Build() {

@@ -1,8 +1,8 @@
 #include "relation/simd.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <cstring>
 
 // DefaultSimdEnabled() is defined in server/options.cc: every environment
 // knob (TOPOFAQ_SIMD included) is read and parsed in that one file.
@@ -81,22 +81,6 @@ Frontier ScalarNextMatch(const T* a, size_t i, size_t an, const T* b,
   return {i, j, Frontier::kExhausted};
 }
 
-template <typename T>
-size_t ScalarIntersect(const T* a, size_t an, const T* b, size_t bn, T* out) {
-  size_t i = 0, j = 0, c = 0;
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[c++] = a[i];
-      ++i;  // keep j: the next (duplicated) a position may match it too
-    }
-  }
-  return c;
-}
-
 }  // namespace
 
 Frontier ScalarNextMatchU64(const Value* a, size_t i, size_t an,
@@ -111,16 +95,6 @@ Frontier ScalarNextMatchU32(const uint32_t* a, size_t i, size_t an,
   return ScalarNextMatch(a, i, an, b, j, bn, max_blocks);
 }
 
-size_t ScalarIntersectU64(const Value* a, size_t an, const Value* b,
-                          size_t bn, Value* out) {
-  return ScalarIntersect(a, an, b, bn, out);
-}
-
-size_t ScalarIntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                          size_t bn, uint32_t* out) {
-  return ScalarIntersect(a, an, b, bn, out);
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 bodies (x86 only, selected at runtime). Unsigned lane compares go
 // through a sign-bit bias: x XOR 2^63 (2^31) maps unsigned order onto the
@@ -132,43 +106,6 @@ namespace {
 
 constexpr long long kBias64 = static_cast<long long>(0x8000000000000000ull);
 constexpr int kBias32 = static_cast<int>(0x80000000u);
-
-/// Compaction table for 4 64-bit lanes: row m holds the permutevar8x32
-/// indices (32-bit lane pairs) that pack the set bits of m to the front.
-struct Lut64 {
-  alignas(32) int idx[16][8];
-};
-constexpr Lut64 MakeLut64() {
-  Lut64 t{};
-  for (int m = 0; m < 16; ++m) {
-    int o = 0;
-    for (int l = 0; l < 4; ++l) {
-      if (m & (1 << l)) {
-        t.idx[m][o++] = 2 * l;
-        t.idx[m][o++] = 2 * l + 1;
-      }
-    }
-    for (; o < 8; ++o) t.idx[m][o] = 0;
-  }
-  return t;
-}
-constexpr Lut64 kLut64 = MakeLut64();
-
-/// Compaction table for 8 32-bit lanes.
-struct Lut32 {
-  alignas(32) int idx[256][8];
-};
-constexpr Lut32 MakeLut32() {
-  Lut32 t{};
-  for (int m = 0; m < 256; ++m) {
-    int o = 0;
-    for (int l = 0; l < 8; ++l)
-      if (m & (1 << l)) t.idx[m][o++] = l;
-    for (; o < 8; ++o) t.idx[m][o] = 0;
-  }
-  return t;
-}
-constexpr Lut32 kLut32 = MakeLut32();
 
 __attribute__((target("avx2"))) inline __m256i Bias64(__m256i v) {
   return _mm256_xor_si256(v, _mm256_set1_epi64x(kBias64));
@@ -414,159 +351,9 @@ __attribute__((target("avx2"))) Frontier NextMatchU32Avx2(
   return {i, j, Frontier::kExhausted};
 }
 
-// Shuffle-compact the acc-masked lanes of `va` to out + c; returns the new
-// count. Free functions (not lambdas) because GCC does not propagate the
-// enclosing function's target attribute into lambda call operators.
-__attribute__((target("avx2"))) size_t EmitMatches64(__m256i va, __m256i acc,
-                                                     Value* out, size_t c) {
-  const int m = _mm256_movemask_pd(_mm256_castsi256_pd(acc));
-  if (m != 0) {
-    const __m256i idx =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(kLut64.idx[m]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c),
-                        _mm256_permutevar8x32_epi32(va, idx));
-    c += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-  }
-  return c;
-}
-
-__attribute__((target("avx2"))) size_t EmitMatches32(__m256i va, __m256i acc,
-                                                     uint32_t* out, size_t c) {
-  const int m = _mm256_movemask_ps(_mm256_castsi256_ps(acc));
-  if (m != 0) {
-    const __m256i idx =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(kLut32.idx[m]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c),
-                        _mm256_permutevar8x32_epi32(va, idx));
-    c += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-  }
-  return c;
-}
-
-__attribute__((target("avx2"))) size_t IntersectU64Avx2(
-    const Value* a, size_t an, const Value* b, size_t bn, Value* out,
-    int64_t* blocks) {
-  size_t i = 0, j = 0, c = 0;
-  size_t jbase = 0;  // value of j when the current a block became current
-  int64_t nb = 0;
-  if (i + 4 <= an && j + 4 <= bn) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    // acc: per-lane "this a position's value occurred in some b block seen
-    // while this a block was current". Emitted (shuffle-compacted) when the
-    // a block retires; b blocks retire without emission because their
-    // matches against the current a block are already accumulated.
-    __m256i acc = _mm256_setzero_si256();
-    while (i + 4 <= an && j + 4 <= bn) {
-      const Value amax = a[i + 3];
-      const Value bmax = b[j + 3];
-      ++nb;
-      if (amax < b[j]) {  // a block done: flush what earlier b blocks matched
-        c = EmitMatches64(va, acc, out, c);
-        i += 4;
-        jbase = j;
-        acc = _mm256_setzero_si256();
-        if (i + 4 <= an)
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        continue;
-      }
-      if (bmax < a[i]) {  // b block wholly below the a block: no matches
-        j += 4;
-        continue;
-      }
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      acc = _mm256_or_si256(acc, AnyEq64(va, vb));
-      if (amax <= bmax) {
-        // The a block's matches are fully determined (any later b value
-        // exceeds bmax >= amax): emit and retire it.
-        c = EmitMatches64(va, acc, out, c);
-        i += 4;
-        jbase = j;
-        acc = _mm256_setzero_si256();
-        if (i + 4 <= an)
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      } else {
-        j += 4;  // b retires; its matches are in acc
-      }
-    }
-    // Tail: the current a block is unfinished — rewind b to where this block
-    // became current and let the scalar walk re-find its matches (acc is
-    // dropped; nothing was emitted for this block yet).
-    j = jbase;
-  }
-  if (blocks != nullptr) *blocks += nb;
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[c++] = a[i];
-      ++i;
-    }
-  }
-  return c;
-}
-
-__attribute__((target("avx2"))) size_t IntersectU32Avx2(
-    const uint32_t* a, size_t an, const uint32_t* b, size_t bn, uint32_t* out,
-    int64_t* blocks) {
-  size_t i = 0, j = 0, c = 0;
-  size_t jbase = 0;
-  int64_t nb = 0;
-  if (i + 8 <= an && j + 8 <= bn) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    __m256i acc = _mm256_setzero_si256();
-    while (i + 8 <= an && j + 8 <= bn) {
-      const uint32_t amax = a[i + 7];
-      const uint32_t bmax = b[j + 7];
-      ++nb;
-      if (amax < b[j]) {
-        c = EmitMatches32(va, acc, out, c);
-        i += 8;
-        jbase = j;
-        acc = _mm256_setzero_si256();
-        if (i + 8 <= an)
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        continue;
-      }
-      if (bmax < a[i]) {
-        j += 8;
-        continue;
-      }
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      acc = _mm256_or_si256(acc, AnyEq32(va, vb));
-      if (amax <= bmax) {
-        c = EmitMatches32(va, acc, out, c);
-        i += 8;
-        jbase = j;
-        acc = _mm256_setzero_si256();
-        if (i + 8 <= an)
-          va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      } else {
-        j += 8;
-      }
-    }
-    j = jbase;
-  }
-  if (blocks != nullptr) *blocks += nb;
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[c++] = a[i];
-      ++i;
-    }
-  }
-  return c;
-}
-
-/// Quad-window unpack + decode into 64-bit lanes (widths <= 14, like
-/// ScanChecksumAvx2): one scalar 8-byte load covers four codes, vpsrlv
-/// splits them into lanes, dict codes resolve through a gathered lookup.
+/// Quad-window unpack + decode into 64-bit lanes (widths <= 14): one scalar
+/// 8-byte load covers four codes ((bit % 8) + 4·width <= 63), vpsrlv splits
+/// them into lanes, dict codes resolve through a gathered lookup.
 __attribute__((target("avx2"))) void DecodeWindowU64Avx2(
     const EncodedColumn& e, size_t begin, size_t end, Value* out,
     int64_t* blocks) {
@@ -693,24 +480,6 @@ Frontier NextMatchU32(const uint32_t* a, size_t i, size_t an,
 #endif
   (void)blocks;
   return ScalarNextMatchU32(a, i, an, b, j, bn, max_blocks);
-}
-
-size_t IntersectU64(const Value* a, size_t an, const Value* b, size_t bn,
-                    Value* out, int64_t* blocks) {
-#if defined(TOPOFAQ_X86_SIMD)
-  if (Available()) return IntersectU64Avx2(a, an, b, bn, out, blocks);
-#endif
-  (void)blocks;
-  return ScalarIntersectU64(a, an, b, bn, out);
-}
-
-size_t IntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                    size_t bn, uint32_t* out, int64_t* blocks) {
-#if defined(TOPOFAQ_X86_SIMD)
-  if (Available()) return IntersectU32Avx2(a, an, b, bn, out, blocks);
-#endif
-  (void)blocks;
-  return ScalarIntersectU32(a, an, b, bn, out);
 }
 
 void DecodeWindowU64(const EncodedColumn& e, size_t begin, size_t end,

@@ -2,12 +2,12 @@
 // layer").
 //
 // Every hot cross-relation loop in the kernel — the leapfrog frontier of the
-// multiway join, the sort-merge Join/Semijoin advance loops, the closing
-// window of a galloping seek — is a scan over one or two *sorted* contiguous
-// arrays. This header is the one kernel library those loops call into:
-// block-wise lower bound, merge advance, pairwise frontier intersection with
-// shuffle-based compaction, and a vectorized window decode that unpacks
-// dict/FOR code spaces (encoding.h) straight into flat 32- or 64-bit lanes.
+// multiway join, the sort-merge Join advance loop, the closing window of a
+// galloping seek — is a scan over one or two *sorted* contiguous arrays.
+// This header is the one kernel library those loops call into: block-wise
+// lower bound, merge advance, the pairwise leapfrog frontier step, and a
+// vectorized window decode that unpacks dict/FOR code spaces (encoding.h)
+// straight into flat 32- or 64-bit lanes.
 //
 // Dispatch rules:
 //   - Each kernel has a scalar body (the reference semantics, compiled
@@ -126,18 +126,9 @@ Frontier NextMatchU32(const uint32_t* a, size_t i, size_t an,
                       const uint32_t* b, size_t j, size_t bn,
                       size_t max_blocks, int64_t* blocks);
 
-/// Full pairwise sorted-set intersection with shuffle-based compaction:
-/// writes, in order, the value of every a-position whose value occurs in b
-/// (so duplicated a values emit once per a-position — semijoin
-/// multiplicity). `out` must have room for an entries. Returns the count.
-size_t IntersectU64(const Value* a, size_t an, const Value* b, size_t bn,
-                    Value* out, int64_t* blocks);
-size_t IntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                    size_t bn, uint32_t* out, int64_t* blocks);
-
 // Scalar reference twins: always the scalar body, regardless of toggle or
 // CPU — the differential oracle for tests/simd_kernel_test.cc and the
-// scalar leg of bench_intersect.
+// scalar legs of bench_intersect.
 size_t ScalarLowerBoundU64(const Value* a, size_t lo, size_t hi, Value key,
                            bool strict);
 size_t ScalarLowerBoundU32(const uint32_t* a, size_t lo, size_t hi,
@@ -150,11 +141,6 @@ Frontier ScalarNextMatchU64(const Value* a, size_t i, size_t an,
 Frontier ScalarNextMatchU32(const uint32_t* a, size_t i, size_t an,
                             const uint32_t* b, size_t j, size_t bn,
                             size_t max_blocks);
-size_t ScalarIntersectU64(const Value* a, size_t an, const Value* b,
-                          size_t bn, Value* out);
-size_t ScalarIntersectU32(const uint32_t* a, size_t an, const uint32_t* b,
-                          size_t bn, uint32_t* out);
-
 /// True iff every decoded value of `e` fits uint32_t, so windows of it may
 /// decode into the narrow u32 lane mode.
 inline bool FitsU32(const EncodedColumn& e) {

@@ -13,14 +13,6 @@ double MsSince(std::chrono::steady_clock::time_point t0,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// Everything admission needs, extracted from one typed query.
-struct Assessed {
-  Status validate;
-  std::vector<RelationProfile> profiles;
-  std::vector<VarId> free_vars;
-  uint64_t domain = 2;
-};
-
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
@@ -101,6 +93,52 @@ std::string Engine::MetricsText() const {
   return obs::MetricsRegistry::Shared().TextDump();
 }
 
+Engine::Admission Engine::AdmitRequest(const QueryRequest& req,
+                                       obs::TraceSession* tr,
+                                       uint32_t track) {
+  Admission a;
+  {
+    obs::Span sp(tr, "validate", track);
+    a.validate =
+        std::visit([](const auto& q) { return q.Validate(); }, req.query);
+  }
+  if (!a.validate.ok()) return a;
+  const std::vector<VarId>& free_vars = std::visit(
+      [](const auto& q) -> const std::vector<VarId>& { return q.free_vars; },
+      req.query);
+  {
+    obs::Span sp(tr, "profile", track);
+    std::visit(
+        [&a](const auto& q) {
+          a.profiles.reserve(q.relations.size());
+          for (const auto& r : q.relations)
+            a.profiles.push_back(ProfileRelation(r));
+          a.domain = q.DomainSize();
+        },
+        req.query);
+  }
+  const Hypergraph& h = std::visit(
+      [](const auto& q) -> const Hypergraph& { return q.hypergraph; },
+      req.query);
+  {
+    obs::Span sp(tr, "plan", track);
+    a.width = PlanCache::Shared().PlanFor(h, free_vars, &a.plan_hit).value();
+  }
+  (a.plan_hit ? m_.plan_hit : m_.plan_miss)->Add();
+  {
+    obs::Span sp(tr, "admit", track);
+    a.bounds =
+        admission_.Assess(h, a.profiles, free_vars.size(), a.domain, a.width);
+    a.admit = admission_.Admit(a.bounds);
+  }
+  if (!a.admit.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.rejected;
+    m_.admission_rejected->Add();
+  }
+  return a;
+}
+
 std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
   auto session = std::make_shared<Session>();
   std::shared_ptr<obs::TraceSession> tr;
@@ -129,12 +167,7 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
                                   : "query " + req.tag);
   obs::Span submit_sp(tr.get(), "submit", track);
 
-  Assessed a;
-  {
-    obs::Span sp(tr.get(), "validate", track);
-    a.validate =
-        std::visit([](const auto& q) { return q.Validate(); }, req.query);
-  }
+  Admission a = AdmitRequest(req, tr.get(), track);
   if (!a.validate.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.failed;
@@ -142,51 +175,16 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
     session->Deliver(a.validate);
     return session;
   }
-  {
-    obs::Span sp(tr.get(), "profile", track);
-    std::visit(
-        [&a](const auto& q) {
-          a.profiles.reserve(q.relations.size());
-          for (const auto& r : q.relations)
-            a.profiles.push_back(ProfileRelation(r));
-          a.free_vars = q.free_vars;
-          a.domain = q.DomainSize();
-        },
-        req.query);
-  }
-
-  // Plan through the shared cache with the exact keys YannakakisSolve will
-  // use, so submission warms the plan the execution consumes.
-  const Hypergraph& h = std::visit(
-      [](const auto& q) -> const Hypergraph& { return q.hypergraph; },
-      req.query);
-  bool plan_hit = false;
-  WidthResult width;
-  {
-    obs::Span sp(tr.get(), "plan", track);
-    width = PlanCache::Shared().PlanFor(h, a.free_vars, &plan_hit).value();
-  }
-  (plan_hit ? m_.plan_hit : m_.plan_miss)->Add();
-
-  Job job;
-  Status admit = Status::Ok();
-  {
-    obs::Span sp(tr.get(), "admit", track);
-    job.bounds = admission_.Assess(h, a.profiles, a.free_vars.size(),
-                                   a.domain, width);
-    admit = admission_.Admit(job.bounds);
-  }
-  if (!admit.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    m_.admission_rejected->Add();
-    session->Deliver(admit);
+  if (!a.admit.ok()) {
+    session->Deliver(a.admit);
     return session;
   }
+  Job job;
+  job.bounds = a.bounds;
   job.klass = admission_.Classify(job.bounds);
   job.req = std::move(req);
   job.session = session;
-  job.plan_cache_hit = plan_hit;
+  job.plan_cache_hit = a.plan_hit;
   job.trace = std::move(tr);
   job.trace_track = track;
   // Close before stamping enqueued: the submit span and the queue_wait span
@@ -353,33 +351,9 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
     ++stats_.subscriptions;
   }
 
-  Assessed a = std::visit(
-      [](const auto& q) {
-        Assessed out;
-        out.validate = q.Validate();
-        if (!out.validate.ok()) return out;
-        out.profiles.reserve(q.relations.size());
-        for (const auto& r : q.relations)
-          out.profiles.push_back(ProfileRelation(r));
-        out.free_vars = q.free_vars;
-        out.domain = q.DomainSize();
-        return out;
-      },
-      req.query);
+  Admission a = AdmitRequest(req, nullptr, 0);
   if (!a.validate.ok()) return a.validate;
-
-  const Hypergraph& h = std::visit(
-      [](const auto& q) -> const Hypergraph& { return q.hypergraph; },
-      req.query);
-  WidthResult w = PlanCache::Shared().PlanFor(h, a.free_vars).value();
-  const QueryBounds bounds =
-      admission_.Assess(h, a.profiles, a.free_vars.size(), a.domain, w);
-  const Status admit = admission_.Admit(bounds);
-  if (!admit.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
-    return admit;
-  }
+  if (!a.admit.ok()) return a.admit;
 
   // Build the standing state on the calling thread: one full pass, the same
   // work Solve would do, with full kernel parallelism.
@@ -392,7 +366,7 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
         if (!sq.ok()) return sq.status();
         return std::shared_ptr<StandingSession>(new StandingSession(
             this, AnyStandingQuery(*std::move(sq)), std::move(a.profiles),
-            a.domain, std::move(w)));
+            a.domain, std::move(a.width)));
       },
       req.query);
 }

@@ -169,6 +169,26 @@ class Engine {
     std::function<Result<QueryResult>(ExecContext&)> work;
   };
 
+  /// Everything admission decides a request on.
+  struct Admission {
+    Status validate;
+    std::vector<RelationProfile> profiles;
+    uint64_t domain = 2;
+    WidthResult width;
+    bool plan_hit = false;
+    QueryBounds bounds;
+    Status admit;
+  };
+
+  /// The one admission path Submit and Subscribe share: validate, profile
+  /// the relations, plan through the shared PlanCache (with the exact keys
+  /// YannakakisSolve uses, so admission warms the plan execution consumes),
+  /// then assess and admit. Each stage is a span on `track` of `tr` (null =
+  /// tracing off). Counts the plan-cache lookup, and a refusal as rejected.
+  /// Stops after a failed validation.
+  Admission AdmitRequest(const QueryRequest& req, obs::TraceSession* tr,
+                         uint32_t track);
+
   /// Admits a subscription delta (FD-aware bounds with the touched
   /// relation's profile replaced by the delta's), queues it, and waits.
   Result<QueryResult> SubmitDelta(StandingSession* ss, int relation_id,

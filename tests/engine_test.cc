@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bit_identity.h"
@@ -237,6 +238,54 @@ TEST(Engine, AdmissionRejectsDeepJoinTreesByWidth) {
 
   auto shallow = RandomQuery<NaturalSemiring>(PathGraph(2), 50, 8, 52, {});
   EXPECT_TRUE(engine.Solve(shallow).ok());
+}
+
+/// The value of counter `name` in Engine::MetricsText() (0 when absent).
+int64_t MetricsCounter(const Engine& engine, const std::string& name) {
+  const std::string text = engine.MetricsText();
+  const std::string key = "counter " + name + " ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? 0 : std::stoll(text.substr(at + key.size()));
+}
+
+TEST(Engine, SubscribeSharesSubmitAdmissionCounters) {
+  // Subscribe admits through the same path as Submit: its plan lookup
+  // counts as a plan-cache hit or miss, and a refusal counts as rejected in
+  // the metrics registry as well as in EngineStats.
+  PlanCache::Shared().Clear();
+  EngineOptions opts;
+  opts.admission.max_predicted_output_rows = 10;
+  Engine engine(opts);
+  const auto hits = [&] {
+    return MetricsCounter(engine, "engine.plan_cache.hit");
+  };
+  const auto misses = [&] {
+    return MetricsCounter(engine, "engine.plan_cache.miss");
+  };
+  const auto rejected = [&] {
+    return MetricsCounter(engine, "engine.admission.rejected");
+  };
+  const int64_t hit0 = hits(), miss0 = misses(), rej0 = rejected();
+
+  auto small = RandomQuery<BooleanSemiring>(PathGraph(2), 50, 8, 42, {0});
+  for (int i = 0; i < 2; ++i) {
+    QueryRequest req;
+    req.query = small;
+    ASSERT_TRUE(engine.Subscribe(std::move(req)).ok());
+  }
+  EXPECT_EQ(misses(), miss0 + 1);
+  EXPECT_EQ(hits(), hit0 + 1);
+  EXPECT_EQ(rejected(), rej0);
+
+  QueryRequest big;
+  big.query = RandomQuery<BooleanSemiring>(PathGraph(2), 3000, 1u << 20, 41,
+                                           {0, 1, 2});
+  auto refused = engine.Subscribe(std::move(big));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(rejected(), rej0 + 1);
+  EXPECT_EQ(engine.stats().rejected, 1);
+  EXPECT_EQ(hits() + misses(), hit0 + miss0 + 3);
 }
 
 TEST(Engine, ProfileRelationMeasuresLeadingRuns) {

@@ -107,10 +107,9 @@ TEST(ExecContext, ScratchReuseIsCorrectAcrossManyCalls) {
     a.Canonicalize();
     b.Canonicalize();
     EXPECT_TRUE(Join(a, b, &ctx).EqualsAsFunction(Join(a, b)));
-    EXPECT_TRUE(Semijoin(a, b, &ctx).EqualsAsFunction(Semijoin(a, b)));
     EXPECT_TRUE(
-        EliminateVar(a, 1, VarOp::kSemiringSum, &ctx)
-            .EqualsAsFunction(EliminateVar(a, 1, VarOp::kSemiringSum)));
+        Eliminate(a, {1}, {VarOp::kSemiringSum}, &ctx)
+            .EqualsAsFunction(Eliminate(a, {1}, {VarOp::kSemiringSum})));
   }
 }
 

@@ -17,6 +17,7 @@
 #include "mcm/protocols.h"
 #include "oracle.h"
 #include "random_instances.h"
+#include "reference_ops.h"
 #include "relation/encoding.h"
 #include "server/engine.h"
 #include "util/rng.h"
@@ -308,6 +309,33 @@ TEST(Yannakakis, SolvesFreeVariablesNoBagCovers) {
   auto bf = BruteForceSolve(q);
   ASSERT_TRUE(bf.ok());
   EXPECT_TRUE(bf->EqualsAsFunction(*yk));
+
+  // Path A-B-C-D with F = {A, D}: every leaf bag holds only kept columns
+  // (F ∪ χ(parent)), so its step hands its relation up unchanged — no
+  // eliminate call, no rows_out, not even a copy through the operator.
+  auto path = RandomFaqSS<NaturalSemiring>(PathGraph(3), 20, 4, &rng, NatVal,
+                                           /*free=*/{0, 3});
+  auto path_plan = PlanCache::Shared().PlanFor(path.hypergraph, path.free_vars);
+  ASSERT_TRUE(path_plan.ok());
+  const Ghd& pg = path_plan->decomposition.ghd;
+  const std::vector<Relation<NaturalSemiring>> no_msgs;
+  int leaves = 0;
+  for (int v = 0; v < pg.num_nodes(); ++v) {
+    if (v == pg.root() || !pg.node(v).children.empty()) continue;
+    ++leaves;
+    ExecContext ctx;
+    const auto msg = internal::SolveNode(
+        path, pg, v, internal::PassOperands(path, pg, v, no_msgs), &ctx);
+    EXPECT_EQ(ctx.eliminate.calls, 0) << "leaf " << v;
+    EXPECT_EQ(ctx.eliminate.rows_out, 0) << "leaf " << v;
+    EXPECT_TRUE(BytesEqual(
+        msg, path.relations[static_cast<size_t>(pg.node(v).edge_id)]));
+  }
+  EXPECT_GT(leaves, 0);
+  auto path_yk = YannakakisSolve(path);
+  auto path_bf = BruteForceSolve(path);
+  ASSERT_TRUE(path_yk.ok() && path_bf.ok());
+  EXPECT_TRUE(path_bf->EqualsAsFunction(*path_yk));
 }
 
 TEST(Yannakakis, GeneralFaqWithMixedAggregates) {
@@ -378,9 +406,14 @@ TEST(Faq, SemijoinAsFaq) {
   auto r0 = RandomRelation<BooleanSemiring>(h.edge(0), 12, 3, &rng, BoolVal);
   auto r1 = RandomRelation<BooleanSemiring>(h.edge(1), 12, 3, &rng, BoolVal);
   auto q = MakeFaqSS<BooleanSemiring>(h, {r0, r1}, {0, 1});
+  const auto expected = reference::Semijoin(r0, r1);
   auto res = BruteForceSolve(q);
   ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res->EqualsAsFunction(Semijoin(r0, r1)));
+  EXPECT_TRUE(res->EqualsAsFunction(expected));
+  // The GHD upward pass answers it with join + eliminate alone.
+  auto plan = YannakakisSolve(q);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->EqualsAsFunction(expected));
 }
 
 TEST(Faq, ValidateCatchesShapeErrors) {

@@ -1,8 +1,8 @@
 // Morsel-parallel kernel tests (docs/kernel.md, "Morsel-parallel
 // execution"): the WorkerPool fork/join contract, key-aligned morsel cuts,
 // and — the core guarantee — byte-identical canonical output across
-// parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Semijoin /
-// Project / Eliminate over four semirings, including empty, skewed, and
+// parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Project /
+// Eliminate over four semirings, including empty, skewed, and
 // single-key-run inputs.
 #include <gtest/gtest.h>
 
@@ -139,7 +139,7 @@ Relation<S> RandomRel(std::vector<VarId> vars, size_t n, uint64_t dom,
   return r;
 }
 
-/// All-four-operators determinism check for one (left, right) input pair:
+/// All-operators determinism check for one (left, right) input pair:
 /// every parallelism level must reproduce the serial bytes, and the stats
 /// rollup must keep rows_in/rows_out identical.
 template <CommutativeSemiring S>
@@ -150,7 +150,6 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
   ExecContext serial;
   serial.parallelism = 1;
   const Relation<S> join1 = Join(left, right, &serial);
-  const Relation<S> semi1 = Semijoin(left, right, &serial);
   const Relation<S> proj1 =
       left.arity() > 1
           ? Project(left, {left.schema().var(0)}, &serial)
@@ -165,7 +164,6 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
     ctx.parallelism = p;
     SCOPED_TRACE(std::string(what) + " @ parallelism " + std::to_string(p));
     EXPECT_TRUE(BytesEqual(Join(left, right, &ctx), join1));
-    EXPECT_TRUE(BytesEqual(Semijoin(left, right, &ctx), semi1));
     EXPECT_TRUE(BytesEqual(
         left.arity() > 1 ? Project(left, {left.schema().var(0)}, &ctx)
                          : Project(left, left.schema().vars(), &ctx),

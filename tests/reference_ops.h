@@ -1,13 +1,14 @@
 // The seed hash-based relational operators, retained as the *reference
-// implementation* for the sorted-relation kernel in ops.h: differential
-// tests cross-check the sort-merge operators against these on randomized
-// inputs, and bench_relation_ops reports kernel speedup relative to them.
+// implementation* for the sorted-relation kernel (relation/ops.h):
+// differential tests cross-check the sort-merge operators against these on
+// randomized inputs, and bench_relation_ops reports kernel speedup relative
+// to them.
 // Row-at-a-time on purpose — rows are gathered through RowCursor (the
 // columnar escape hatch), preserving the seed kernel's hash-and-gather
 // access pattern as the baseline the benches normalize against. Not used on
 // any production path.
-#ifndef TOPOFAQ_RELATION_REFERENCE_OPS_H_
-#define TOPOFAQ_RELATION_REFERENCE_OPS_H_
+#ifndef TOPOFAQ_TESTS_REFERENCE_OPS_H_
+#define TOPOFAQ_TESTS_REFERENCE_OPS_H_
 
 #include <unordered_map>
 #include <vector>
@@ -197,4 +198,4 @@ Relation<S> EliminateVar(const Relation<S>& r, VarId v, VarOp op) {
 }  // namespace reference
 }  // namespace topofaq
 
-#endif  // TOPOFAQ_RELATION_REFERENCE_OPS_H_
+#endif  // TOPOFAQ_TESTS_REFERENCE_OPS_H_

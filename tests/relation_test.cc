@@ -12,11 +12,11 @@
 
 #include "bit_identity.h"
 #include "random_instances.h"
+#include "reference_ops.h"
 #include "relation/encoding.h"
 #include "relation/exec.h"
 #include "relation/ops.h"
 #include "relation/parallel.h"
-#include "relation/reference_ops.h"
 #include "relation/relation.h"
 #include "util/rng.h"
 
@@ -275,38 +275,6 @@ TEST(Join, EmptyInputGivesEmptyOutput) {
   EXPECT_TRUE(Join(s, r).empty());
 }
 
-TEST(Semijoin, KeepsMatchingLeftTuplesUnchanged) {
-  NRel r{Schema({0, 1})};
-  r.Add({1, 10}, 2);
-  r.Add({2, 20}, 3);
-  r.Add({3, 30}, 4);
-  NRel s{Schema({1, 2})};
-  s.Add({10, 5}, 9);
-  s.Add({30, 6}, 9);
-  NRel out = Semijoin(r, s);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.at(0, 0), 1u);
-  EXPECT_EQ(out.annot(0), 2u);  // left annotation preserved
-  EXPECT_EQ(out.at(1, 0), 3u);
-}
-
-TEST(Semijoin, MatchesJoinProjectForBoolean) {
-  // Definition 3.5: R1 ⋉ R2 = R1 ⋈ π_shared(R2); over the Boolean semiring
-  // the two agree exactly.
-  Rng rng(42);
-  for (int iter = 0; iter < 20; ++iter) {
-    BRel r{Schema({0, 1})}, s{Schema({1, 2})};
-    for (int i = 0; i < 15; ++i)
-      r.Add({rng.NextU64(4), rng.NextU64(4)});
-    for (int i = 0; i < 15; ++i)
-      s.Add({rng.NextU64(4), rng.NextU64(4)});
-    r.Canonicalize();
-    s.Canonicalize();
-    BRel via_def = Join(r, Project(s, {1}));
-    EXPECT_TRUE(Semijoin(r, s).EqualsAsFunction(via_def));
-  }
-}
-
 TEST(Project, SumsAnnotations) {
   NRel r{Schema({0, 1})};
   r.Add({1, 10}, 2);
@@ -332,7 +300,7 @@ TEST(EliminateVar, MaxAggregate) {
   r.Add({1, 10}, 2.0);
   r.Add({1, 11}, 7.0);
   r.Add({2, 12}, 4.0);
-  CRel out = EliminateVar(r, 1, VarOp::kMax);
+  CRel out = Eliminate(r, {1}, {VarOp::kMax});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.annot(0), 7.0);
   EXPECT_EQ(out.annot(1), 4.0);
@@ -342,7 +310,7 @@ TEST(EliminateVar, ProductAggregate) {
   CRel r{Schema({0, 1})};
   r.Add({1, 10}, 2.0);
   r.Add({1, 11}, 7.0);
-  CRel out = EliminateVar(r, 1, VarOp::kProduct);
+  CRel out = Eliminate(r, {1}, {VarOp::kProduct});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.annot(0), 14.0);
 }
@@ -355,22 +323,10 @@ TEST(EliminateVar, SumEqualsProject) {
       r.Add({rng.NextU64(3), rng.NextU64(3), rng.NextU64(3)},
             rng.NextU64(5) + 1);
     r.Canonicalize();
-    NRel a = EliminateVar(r, 1, VarOp::kSemiringSum);
+    NRel a = Eliminate(r, {1}, {VarOp::kSemiringSum});
     NRel b = Project(r, {0, 2});
     EXPECT_TRUE(a.EqualsAsFunction(b));
   }
-}
-
-TEST(Intersect, SameSchemaIntersection) {
-  BRel a{Schema({0})}, b{Schema({0})};
-  a.Add({1});
-  a.Add({2});
-  a.Add({3});
-  b.Add({2});
-  b.Add({3});
-  b.Add({4});
-  BRel c = Intersect(a, b);
-  EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(FullRelation, EnumeratesDomainPower) {
@@ -496,18 +452,6 @@ TEST(Join, EmptyRelationWithDisjointSchema) {
   EXPECT_EQ(Join(a, b).schema().vars(), (std::vector<VarId>{0, 1}));
 }
 
-TEST(Semijoin, NoSharedVariables) {
-  // With no shared variables every left row matches iff right is non-empty.
-  NRel l{Schema({0})};
-  l.Add({1}, 2);
-  l.Add({2}, 3);
-  l.Canonicalize();
-  NRel r{Schema({1})};
-  EXPECT_TRUE(Semijoin(l, r).empty());
-  r.Add({7}, 1);
-  EXPECT_TRUE(Semijoin(l, r).EqualsAsFunction(l));
-}
-
 // --- Per-variable aggregates: Max/Min vs the semiring ⊕ -------------------
 
 TEST(EliminateVar, MinAggregateDiffersFromSum) {
@@ -515,13 +459,13 @@ TEST(EliminateVar, MinAggregateDiffersFromSum) {
   r.Add({1, 10}, 2.0);
   r.Add({1, 11}, 7.0);
   r.Canonicalize();
-  CRel mn = EliminateVar(r, 1, VarOp::kMin);
+  CRel mn = Eliminate(r, {1}, {VarOp::kMin});
   ASSERT_EQ(mn.size(), 1u);
   EXPECT_EQ(mn.annot(0), 2.0);
-  CRel sum = EliminateVar(r, 1, VarOp::kSemiringSum);
+  CRel sum = Eliminate(r, {1}, {VarOp::kSemiringSum});
   ASSERT_EQ(sum.size(), 1u);
   EXPECT_EQ(sum.annot(0), 9.0);
-  CRel mx = EliminateVar(r, 1, VarOp::kMax);
+  CRel mx = Eliminate(r, {1}, {VarOp::kMax});
   ASSERT_EQ(mx.size(), 1u);
   EXPECT_EQ(mx.annot(0), 7.0);
 }
@@ -552,7 +496,7 @@ Relation<S> RandomRel(Rng* rng, std::vector<VarId> vars, int tuples,
   return r;
 }
 
-/// Checks kernel == reference for Join/Semijoin/Project/Eliminate on random
+/// Checks kernel == reference for Join/Project/Eliminate on random
 /// inputs over semiring S (randomized schemas with overlapping, disjoint,
 /// and identical variable sets).
 template <CommutativeSemiring S, typename AnnotFn>
@@ -566,8 +510,6 @@ void CrossCheckAgainstReference(uint64_t seed, AnnotFn annot) {
                           annot);
     EXPECT_TRUE(Join(a, b).EqualsAsFunction(reference::Join(a, b)))
         << "join iter " << iter;
-    EXPECT_TRUE(Semijoin(a, b).EqualsAsFunction(reference::Semijoin(a, b)))
-        << "semijoin iter " << iter;
     // Project onto a random (possibly reordered) subset of a's schema.
     std::vector<VarId> keep = a.schema().vars();
     rng.Shuffle(&keep);
@@ -576,7 +518,7 @@ void CrossCheckAgainstReference(uint64_t seed, AnnotFn annot) {
         << "project iter " << iter;
     const VarId ev = a.schema().var(rng.NextU64(a.arity()));
     for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax, VarOp::kMin})
-      EXPECT_TRUE(EliminateVar(a, ev, op).EqualsAsFunction(
+      EXPECT_TRUE(Eliminate(a, {ev}, {op}).EqualsAsFunction(
           reference::EliminateVar(a, ev, op)))
           << "eliminate iter " << iter << " op " << VarOpName(op);
   }
@@ -641,7 +583,6 @@ TEST(KernelOps, NonCanonicalInputsStillAgreeWithReference) {
     }
     ASSERT_FALSE(a.canonical());
     EXPECT_TRUE(Join(a, b).EqualsAsFunction(reference::Join(a, b)));
-    EXPECT_TRUE(Semijoin(a, b).EqualsAsFunction(reference::Semijoin(a, b)));
     EXPECT_TRUE(
         Project(a, {1}).EqualsAsFunction(reference::Project(a, {1})));
   }
@@ -1032,7 +973,7 @@ Relation<S> ShapedRel(Rng* rng, std::vector<VarId> vars, size_t n,
 }
 
 /// Differential check of the columnar kernel against reference_ops at the
-/// given parallelism: Join/Semijoin/Project/Eliminate on 2000-row inputs of
+/// given parallelism: Join/Project/Eliminate on 2000-row inputs of
 /// the named shape (above kParallelMinRows, so p > 1 really fans out).
 template <CommutativeSemiring S, typename AnnotFn>
 void CrossCheckShapedAtParallelism(uint64_t seed, Shape shape, int p,
@@ -1043,14 +984,13 @@ void CrossCheckShapedAtParallelism(uint64_t seed, Shape shape, int p,
   auto a = ShapedRel<S>(&rng, {0, 1}, 2000, shape, annot);
   auto b = ShapedRel<S>(&rng, {1, 2}, 2000, shape, annot);
   EXPECT_TRUE(Join(a, b, &ctx).EqualsAsFunction(reference::Join(a, b)));
-  EXPECT_TRUE(
-      Semijoin(a, b, &ctx).EqualsAsFunction(reference::Semijoin(a, b)));
   EXPECT_TRUE(Project(a, {1}, &ctx).EqualsAsFunction(
       reference::Project(a, {1})));
-  if (!a.empty())
+  if (!a.empty()) {
     for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax})
-      EXPECT_TRUE(EliminateVar(a, 1, op, &ctx).EqualsAsFunction(
+      EXPECT_TRUE(Eliminate(a, {1}, {op}, &ctx).EqualsAsFunction(
           reference::EliminateVar(a, 1, op)));
+  }
 }
 
 template <CommutativeSemiring S, typename AnnotFn>

@@ -8,7 +8,6 @@
 // as invisible.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -83,37 +82,6 @@ TEST(SimdKernelTest, AdvanceMatchesScalar) {
     const size_t i = a.empty() ? 0 : rng.NextU64(a.size() + 1);
     EXPECT_EQ(simd::AdvanceU64(a.data(), i, a.size(), key, strict, nullptr),
               simd::ScalarAdvanceU64(a.data(), i, a.size(), key, strict))
-        << "trial " << trial;
-  }
-}
-
-TEST(SimdKernelTest, IntersectMatchesScalar) {
-  ScopedSimdMode on(true);
-  Rng rng(2026);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const uint64_t dom = 1 + rng.NextU64(96);
-    const auto a64 = RandomSorted<Value>(&rng, 70, dom);
-    const auto b64 = RandomSorted<Value>(&rng, 70, dom);
-    std::vector<Value> os(a64.size()), ov(a64.size());
-    const size_t cs = simd::ScalarIntersectU64(a64.data(), a64.size(),
-                                               b64.data(), b64.size(),
-                                               os.data());
-    const size_t cv = simd::IntersectU64(a64.data(), a64.size(), b64.data(),
-                                         b64.size(), ov.data(), nullptr);
-    ASSERT_EQ(cs, cv) << "trial " << trial;
-    EXPECT_EQ(0, std::memcmp(os.data(), ov.data(), cs * sizeof(Value)))
-        << "trial " << trial;
-
-    const auto a32 = RandomSorted<uint32_t>(&rng, 70, dom);
-    const auto b32 = RandomSorted<uint32_t>(&rng, 70, dom);
-    std::vector<uint32_t> ps(a32.size()), pv(a32.size());
-    const size_t ds = simd::ScalarIntersectU32(a32.data(), a32.size(),
-                                               b32.data(), b32.size(),
-                                               ps.data());
-    const size_t dv = simd::IntersectU32(a32.data(), a32.size(), b32.data(),
-                                         b32.size(), pv.data(), nullptr);
-    ASSERT_EQ(ds, dv) << "trial " << trial;
-    EXPECT_EQ(0, std::memcmp(ps.data(), pv.data(), ds * sizeof(uint32_t)))
         << "trial " << trial;
   }
 }
