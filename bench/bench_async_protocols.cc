@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "graphalg/topologies.h"
 #include "hypergraph/generators.h"
 #include "obs/trace.h"
@@ -236,8 +236,8 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
 }  // namespace topofaq
 
 int main(int argc, char** argv) {
-  const auto args = topofaq::bench::ParseMicroBenchArgs(
-      argc, argv, "BENCH_async_protocols.json");
+  const auto args = topofaq::bench::ParseBenchArgs(
+      &argc, argv, "BENCH_async_protocols.json");
   topofaq::g_parallelism = args.parallelism;
   const char* trace_path = nullptr;
   for (int i = 1; i + 1 < argc; ++i)

@@ -1,17 +1,27 @@
-// Shared helpers for the reproduction benches. Each bench binary prints the
-// paper-shaped table first, then runs google-benchmark kernels for the
-// underlying primitives (so `./bench_x` gives both the reproduction rows and
-// machine timings). Every bench accepts the shared flags parsed by
-// ParseBenchArgs below; in particular `--quick` trims every bench to a
-// CI-smoke-sized workload.
+// The one harness header of every bench binary. Two kinds of bench use it:
+//
+//  * reproduction benches print the paper-shaped table first, then run
+//    google-benchmark kernels for the underlying primitives (so `./bench_x`
+//    gives both the reproduction rows and machine timings);
+//  * kernel microbenches (bench_relation_ops, bench_multiway_join, ...) time
+//    rows with TimeMs, check serial-vs-parallel byte identity, and write
+//    the JSON array the CI perf gate (check_bench_regression.py) parses.
+//
+// Every bench accepts the shared flags parsed by ParseBenchArgs below; in
+// particular `--quick` trims every bench to a CI-smoke-sized workload.
 #ifndef TOPOFAQ_BENCH_BENCH_COMMON_H_
 #define TOPOFAQ_BENCH_BENCH_COMMON_H_
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "graphalg/topologies.h"
 #include "hypergraph/generators.h"
@@ -39,24 +49,35 @@ struct BenchArgs {
   /// CI smoke mode: smallest workload sizes, skip the google-benchmark
   /// kernels, just prove the bench runs and the numbers are sane.
   bool quick = false;
-  /// Kernel parallelism for this process (0 = leave the TOPOFAQ_PARALLELISM
-  /// / default-of-1 resolution alone).
+  /// Kernel parallelism. Reproduction benches: 0 leaves the
+  /// TOPOFAQ_PARALLELISM / default-of-1 resolution alone. Microbenches: the
+  /// parallelism of their explicit contexts, every core unless given.
   int parallelism = 0;
   /// Print the full per-row protocol stats block (obs::FormatProtocolStats)
   /// under each reproduction row.
   bool verbose = false;
+  /// Microbenches only: where the JSON rows go (--out PATH).
+  const char* out_path = nullptr;
 };
 
 /// Set by ParseBenchArgs from --verbose; read by ReportRow.
 inline bool g_verbose_stats = false;
 
-/// Strips the shared flags (--quick, --verbose, --parallelism N / -j N) out
-/// of argc/argv — remaining flags flow on to benchmark::Initialize. A
+/// Strips the shared flags (--quick, --verbose, --parallelism N / -j N, and
+/// for microbenches --out PATH) out of argc/argv; the rest flow on to
+/// benchmark::Initialize or to a bench's own flags (--trace). A
+/// microbench passes its JSON file as `default_out`; it then gets every
+/// core unless --parallelism says otherwise (at least 1), for the contexts
+/// it builds itself. A reproduction bench passes nothing, and a
 /// --parallelism request is exported through the TOPOFAQ_PARALLELISM
 /// environment variable so every ExecContext the bench (or the protocol
 /// layer beneath it) creates picks it up.
-inline BenchArgs ParseBenchArgs(int* argc, char** argv) {
+inline BenchArgs ParseBenchArgs(int* argc, char** argv,
+                                const char* default_out = nullptr) {
+  const bool micro = default_out != nullptr;
   BenchArgs args;
+  args.out_path = default_out;
+  bool parallelism_given = false;
   int w = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -68,17 +89,73 @@ inline BenchArgs ParseBenchArgs(int* argc, char** argv) {
                 std::strcmp(argv[i], "-j") == 0) &&
                i + 1 < *argc) {
       args.parallelism = std::atoi(argv[++i]);
+      parallelism_given = true;
+    } else if (micro && std::strcmp(argv[i], "--out") == 0 && i + 1 < *argc) {
+      args.out_path = argv[++i];
     } else {
       argv[w++] = argv[i];
     }
   }
   *argc = w;
-  if (args.parallelism > 0) {
+  if (micro) {
+    args.parallelism = std::max(
+        1, parallelism_given
+               ? args.parallelism
+               : static_cast<int>(std::thread::hardware_concurrency()));
+  } else if (args.parallelism > 0) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%d", args.parallelism);
     setenv("TOPOFAQ_PARALLELISM", buf, 1);
   }
   return args;
+}
+
+/// Best-of-`reps` wall time of `fn` in milliseconds.
+template <typename Fn>
+double TimeMs(int reps, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  double best = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    auto t0 = Clock::now();
+    fn();
+    auto t1 = Clock::now();
+    best = std::min(
+        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  return best;
+}
+
+/// Byte-identity between the serial and parallel kernel outputs — the
+/// morsel-parallel determinism contract, enforced on every bench run.
+template <CommutativeSemiring S>
+void CheckIdentical(const Relation<S>& serial, const Relation<S>& parallel,
+                    const char* what) {
+  if (serial.columns() != parallel.columns() ||
+      serial.annots() != parallel.annots() ||
+      serial.canonical() != parallel.canonical()) {
+    std::fprintf(stderr,
+                 "FATAL: parallel kernel output differs from serial in %s\n",
+                 what);
+    std::abort();
+  }
+}
+
+/// Writes pre-formatted JSON objects as one array to `path` — the shape
+/// check_bench_regression.py loads.
+inline void WriteJsonRows(const std::vector<std::string>& rows,
+                          const char* path) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return;
+  }
+  std::fprintf(f, "[\n");
+  for (size_t i = 0; i < rows.size(); ++i)
+    std::fprintf(f, "  %s%s\n", rows[i].c_str(),
+                 i + 1 < rows.size() ? "," : "");
+  std::fprintf(f, "]\n");
+  std::fclose(f);
+  std::printf("wrote %s\n", path);
 }
 
 /// Relations with N tuples each and a fully overlapping first attribute

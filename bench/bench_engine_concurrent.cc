@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "hypergraph/generators.h"
 #include "server/engine.h"
 #include "util/rng.h"
@@ -91,8 +91,8 @@ double Quantile(const std::vector<double>& sorted_ms, double q) {
 
 int main(int argc, char** argv) {
   using namespace topofaq;
-  const auto args = bench::ParseMicroBenchArgs(argc, argv,
-                                               "BENCH_engine_concurrent.json");
+  const auto args =
+      bench::ParseBenchArgs(&argc, argv, "BENCH_engine_concurrent.json");
 
   EngineOptions opts = EngineOptions::FromEnv();
   opts.parallelism = args.parallelism;

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "relation/simd.h"
 
 namespace topofaq {
@@ -157,7 +157,7 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
 int main(int argc, char** argv) {
   using namespace topofaq;
   const auto args =
-      bench::ParseMicroBenchArgs(argc, argv, "BENCH_intersect.json");
+      bench::ParseBenchArgs(&argc, argv, "BENCH_intersect.json");
   const int reps = args.quick ? 5 : 9;
 
   ScopedSimdMode force_on(true);

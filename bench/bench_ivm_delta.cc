@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_micro_common.h"
+#include "bench_common.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
 #include "ivm/delta.h"
@@ -193,7 +193,7 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
 
 int main(int argc, char** argv) {
   const auto args =
-      topofaq::bench::ParseMicroBenchArgs(argc, argv, "BENCH_ivm_delta.json");
+      topofaq::bench::ParseBenchArgs(&argc, argv, "BENCH_ivm_delta.json");
   topofaq::g_parallelism = args.parallelism;
 
   std::printf("parallelism: %d\n", topofaq::g_parallelism);

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
@@ -189,8 +189,8 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
 }  // namespace topofaq
 
 int main(int argc, char** argv) {
-  const auto args = topofaq::bench::ParseMicroBenchArgs(
-      argc, argv, "BENCH_multiway_join.json");
+  const auto args = topofaq::bench::ParseBenchArgs(
+      &argc, argv, "BENCH_multiway_join.json");
   const bool quick = args.quick;
   const char* out_path = args.out_path;
   topofaq::g_parallelism = args.parallelism;

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "obs/trace.h"
 #include "relation/exec.h"
 #include "relation/multiway.h"
@@ -202,8 +202,8 @@ void Run(bool quick, const char* out_path) {
 }  // namespace topofaq
 
 int main(int argc, char** argv) {
-  const auto args = topofaq::bench::ParseMicroBenchArgs(
-      argc, argv, "BENCH_obs_overhead.json");
+  const auto args = topofaq::bench::ParseBenchArgs(
+      &argc, argv, "BENCH_obs_overhead.json");
   topofaq::Run(args.quick, args.out_path);
   return 0;
 }

@@ -37,7 +37,7 @@
 #include <tuple>
 #include <vector>
 
-#include "bench/bench_micro_common.h"
+#include "bench/bench_common.h"
 #include "bench/scan_checksum.h"
 #include "relation/encoding.h"
 #include "relation/exec.h"
@@ -392,7 +392,7 @@ void WriteJson(const std::vector<Row>& rows, const char* path) {
 
 int main(int argc, char** argv) {
   const auto args =
-      topofaq::bench::ParseMicroBenchArgs(argc, argv, "BENCH_relation_ops.json");
+      topofaq::bench::ParseBenchArgs(&argc, argv, "BENCH_relation_ops.json");
   const bool quick = args.quick;
   const char* out_path = args.out_path;
   topofaq::g_parallelism = args.parallelism;

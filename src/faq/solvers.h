@@ -140,7 +140,8 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
 /// `parts` (in join order), then ⊕-eliminate every variable outside
 /// keep(v) — χ(parent(v)) ∪ F below the root (Corollary G.2 push-down; RIP
 /// guarantees that a bound variable outside χ(parent) occurs nowhere else),
-/// F at the root, where the result is also projected to F's column order.
+/// F at the root, where every bound variable is gone and Relation::ReorderTo
+/// puts the answer in F's column order.
 /// Free variables are never aggregated, so carrying their columns up is
 /// exact on any decomposition. When F ⊆ χ(root), RIP already keeps every
 /// free column below the root, so keep(v) adds nothing to χ(parent(v)). The
@@ -187,7 +188,7 @@ Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
     for (const Relation<S>* p : parts) owned.push_back(*p);
     out = JoinAndEliminate(std::move(owned), keep, q, ctx);
   }
-  if (root) return Project(out, q.free_vars, ctx);
+  if (root) out.ReorderTo(Schema(q.free_vars), ctx);
   return out;
 }
 

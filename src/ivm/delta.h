@@ -257,25 +257,6 @@ Status ApplyDeltaToQuery(FaqQuery<S>* q, int relation_id, Delta<S> d,
   return ApplyDeltaToRelation(&q->relations[relation_id], std::move(d), ctx);
 }
 
-/// Permutes `r`'s columns to match `target` (same variable set, any order)
-/// and re-canonicalizes under the new order. Incremental terms come out of
-/// Join with the delta leftmost, so their schema order can differ from the
-/// materialized message they fold into; this aligns them.
-template <CommutativeSemiring S>
-void ReorderTo(Relation<S>* r, const Schema& target,
-               ExecContext* ctx = nullptr) {
-  if (r->schema() == target) return;
-  TOPOFAQ_CHECK_MSG(r->arity() == target.arity(),
-                    "ReorderTo: arity mismatch");
-  std::vector<int> src(target.arity());
-  for (size_t j = 0; j < target.arity(); ++j) {
-    src[j] = r->schema().PositionOf(target.var(j));
-    TOPOFAQ_CHECK_MSG(src[j] >= 0, "ReorderTo: variable set mismatch");
-  }
-  r->ReorderColumns(target, src);
-  r->Canonicalize(ctx);
-}
-
 }  // namespace topofaq
 
 #endif  // TOPOFAQ_IVM_DELTA_H_

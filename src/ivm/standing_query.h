@@ -13,10 +13,10 @@
 //    variables): the delta's net change C (base_new = base_old ⊕ C) is
 //    pushed along the touched node's root path. Every operator in the pass
 //    is ⊕-linear in each argument — Join(A ⊕ C, B) = Join(A, B) ⊕
-//    Join(C, B) by distributivity, Eliminate/Project commute with ⊕ — so at
-//    each node the incremental term is the node step over Δchild and every
-//    *other* operand at its current value, folded into the stored message,
-//    and forwarded. One root-to-leaf path of delta-sized joins; untouched
+//    Join(C, B) by distributivity, Eliminate and the root's column reorder
+//    commute with ⊕ — so at each node the incremental term is the node step
+//    over Δchild and every *other* operand at its current value, folded
+//    into the stored message, and forwarded. One root-to-leaf path of delta-sized joins; untouched
 //    subtrees are never visited. Bit-identity vs full recompute holds
 //    because ⊕/⊗ in these rings are exact and order-free, and every
 //    materialized state stays in canonical form.
@@ -180,7 +180,7 @@ class StandingQuery {
         return;
       }
       if (term.empty()) return;  // nothing survives to the parent
-      ReorderTo(&term, msgs_[static_cast<size_t>(v)].schema(), ctx);
+      term.ReorderTo(msgs_[static_cast<size_t>(v)].schema(), ctx);
       AddInto(&msgs_[static_cast<size_t>(v)], term, ctx);
       cur = std::move(term);
     }

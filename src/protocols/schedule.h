@@ -255,10 +255,9 @@ class Schedule {
           clock_->Compute(
               stage, inst_.sink, rows,
               [this, at_sink = std::move(at_sink)]() mutable {
-                answer_ = Project(
-                    internal::JoinAndEliminate(std::move(at_sink),
-                                               q_.free_vars, q_, ctx_),
-                    q_.free_vars, ctx_);
+                answer_ = internal::JoinAndEliminate(
+                    std::move(at_sink), q_.free_vars, q_, ctx_);
+                answer_->ReorderTo(Schema(q_.free_vars), ctx_);
               });
         });
   }

@@ -10,7 +10,6 @@ namespace topofaq {
 OpStats ExecContext::Totals() const {
   OpStats t;
   t += join;
-  t += project;
   t += eliminate;
   t += multiway;
   return t;
@@ -18,7 +17,6 @@ OpStats ExecContext::Totals() const {
 
 void ExecContext::ResetStats() {
   join = OpStats{};
-  project = OpStats{};
   eliminate = OpStats{};
   multiway = OpStats{};
 }
@@ -51,7 +49,6 @@ ExecContext& ExecContext::WorkerContext(int i) {
 std::string ExecContext::DebugString() const {
   std::string out;
   out += obs::FormatOpStats("join", join);
-  out += obs::FormatOpStats("project", project);
   out += obs::FormatOpStats("eliminate", eliminate);
   out += obs::FormatOpStats("multiway", multiway);
   return out;

@@ -1,7 +1,7 @@
 // Execution context for the sorted-relation kernel (see docs/kernel.md).
 //
-// Every relational operator (Join / Project / Eliminate / MultiwayJoin) threads
-// an ExecContext through its hot loop. The context serves three purposes:
+// Every relational operator (Join / Eliminate / MultiwayJoin) threads an
+// ExecContext through its hot loop. The context serves three purposes:
 //
 //  1. Scratch reuse: operators borrow the context's row/permutation buffers
 //     instead of allocating per call, so a message-passing pass over a GHD
@@ -15,9 +15,9 @@
 //     operator call may fan morsels out to (docs/kernel.md, "Morsel-parallel
 //     execution"). The default is DefaultParallelism() — 1 unless the
 //     TOPOFAQ_PARALLELISM environment variable says otherwise — and 1 always
-//     means exactly the serial code path. Parallel operators borrow
-//     per-worker child contexts from the arena below and roll their OpStats
-//     back into this context's totals.
+//     means the one-worker morsel run: the whole traversal emitted on this
+//     context. Parallel operators borrow per-worker child contexts from the
+//     arena below and roll their OpStats back into this context's totals.
 //
 // Callers that don't care pass nullptr; operators then fall back to a
 // thread-local default context (still reusing scratch across calls).
@@ -110,9 +110,9 @@ class ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
   /// Maximum workers one operator call may use. 1 (the default unless
-  /// TOPOFAQ_PARALLELISM is set) selects the serial code path byte for byte;
-  /// values > 1 let large inputs fan out into key-aligned morsels. Operator
-  /// results are bit-identical for every setting.
+  /// TOPOFAQ_PARALLELISM is set) emits every operator on this context, with
+  /// no morsels; values > 1 let large inputs fan out into key-aligned
+  /// morsels. Operator results are bit-identical for every setting.
   int parallelism = DefaultParallelism();
 
   /// Cooperative cancellation seam (server/engine.h): when non-null and set,
@@ -157,7 +157,6 @@ class ExecContext {
 
   // Per-operator statistics.
   OpStats join;
-  OpStats project;
   OpStats eliminate;
   OpStats multiway;
 
@@ -184,11 +183,9 @@ class ExecContext {
   std::vector<ColView> vcols_d;
   std::vector<ColView> vcols_e;
   std::vector<Value> row;
-  /// Open-addressing run directory (key hash → key-run start + 1), serial
-  /// path. The parallel path shards the directory instead (table_shards).
-  std::vector<uint64_t> table;
-  /// Per-shard run directories for the parallel path: shard s covers one
-  /// key-aligned range of the probed side and is built by one worker.
+  /// Per-shard open-addressing run directories (key hash → key-run start +
+  /// 1): shard s covers one key-aligned range of the probed side and is
+  /// built by one worker; a one-worker join uses shard 0 alone.
   std::vector<std::vector<uint64_t>> table_shards;
 
   /// The i-th worker's child context, created on first use and reused across

@@ -24,11 +24,12 @@
 // output's own schema order — so the result is certified canonical with no
 // closing sort, like every other operator in ops.h.
 //
-// With ctx->parallelism > 1 the outermost variable's intersection is cut
-// into key-aligned morsels over the smallest top-level relation
-// (MorselRun/KeyAlignedCuts, docs/kernel.md "Morsel-parallel execution");
-// each worker runs the full leapfrog restricted to its key window, and the
-// per-morsel outputs splice bit-identically to the serial bytes.
+// The walk runs through one MorselRun call (docs/kernel.md "Morsel-parallel
+// execution"). With ctx->parallelism > 1 the outermost variable's
+// intersection is cut into key-aligned morsels over the smallest top-level
+// relation; each worker runs the full leapfrog restricted to its key window,
+// and the per-morsel outputs splice bit-identically to the serial bytes. One
+// worker walks the whole key space, with no window.
 #ifndef TOPOFAQ_RELATION_MULTIWAY_H_
 #define TOPOFAQ_RELATION_MULTIWAY_H_
 
@@ -88,39 +89,17 @@ size_t TrieSeekPacked(const uint64_t* words, int width, const Value* samp,
 /// order — the trie view MultiwayJoin consumes. Takes its argument by value
 /// so the common case — a canonical input whose schema is already ascending
 /// (every hyperedge relation) — moves through with no copy at all
-/// (sort_skips); otherwise the column handles are reordered in place and
-/// one re-canonicalization sort is paid (sorts).
+/// (sort_skips); otherwise Relation::ReorderTo permutes the column handles
+/// (no row data moves) and pays one re-canonicalization sort (sorts).
 template <CommutativeSemiring S>
 Relation<S> PermuteToVarOrder(Relation<S> r, ExecContext& cx, OpStats* st) {
-  bool ascending = true;
-  for (size_t i = 1; i < r.arity(); ++i)
-    if (r.schema().var(i - 1) > r.schema().var(i)) {
-      ascending = false;
-      break;
-    }
-  if (ascending) {
-    if (r.canonical()) {
-      ++st->sort_skips;
-      return r;
-    }
-    r.Canonicalize(&cx);
-    ++st->sorts;
-    st->peak_rows = std::max<int64_t>(st->peak_rows,
-                                      static_cast<int64_t>(r.size()));
-    return r;
-  }
-  // Columnar permutation: reorder the column *handles* into ascending
-  // variable order (no row data moves), then one re-canonicalization sorts
-  // the rows under the new column order — a permutation sort plus one
-  // gather pass per column, instead of the old per-row rebuild.
   std::vector<VarId> tvars = r.schema().vars();
   std::sort(tvars.begin(), tvars.end());
-  const SchemaIndex idx(r.schema());
-  std::vector<int>& pos = cx.pos_a;
-  pos.clear();
-  for (VarId v : tvars) pos.push_back(idx.PositionOf(v));
-  r.ReorderColumns(Schema(std::move(tvars)), pos);
-  r.Canonicalize(&cx);
+  if (r.canonical() && tvars == r.schema().vars()) {
+    ++st->sort_skips;
+    return r;
+  }
+  r.ReorderTo(Schema(std::move(tvars)), &cx);
   ++st->sorts;
   st->peak_rows = std::max<int64_t>(st->peak_rows,
                                     static_cast<int64_t>(r.size()));
@@ -738,32 +717,15 @@ Relation<S> MultiwayJoinImpl(std::vector<Relation<S>> inputs,
   // deeper relations, and each of its keys is a valid morsel boundary.
   size_t max_rows = 0;
   for (const auto& r : plan.rels) max_rows = std::max(max_rows, r.size());
-  const int workers = PlannedWorkers(cx, max_rows);
-  if (workers > 1) {
-    Relation<S> out = MorselRun<S>(
-        cx, workers, out_schema, cn,
-        [&](size_t t) { return !cd.EqualAt(t, t - 1); }, &st,
-        [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
-          internal::MultiwayWalker<S> walk(plan, b, &wc.multiway);
-          const bool bounded_hi = xe < cn;
-          walk.Run(scalar, cd.At(xb), bounded_hi ? cd.At(xe) : 0, bounded_hi);
-        });
-    for (int w = 0; w < workers; ++w) {
-      ExecContext& wc = cx.WorkerContext(w);
-      st += wc.multiway;
-      wc.multiway = OpStats{};
-    }
-    st.rows_out += static_cast<int64_t>(out.size());
-    st.peak_rows = std::max(st.peak_rows, static_cast<int64_t>(out.size()));
-    return out;
-  }
-
-  RelationBuilder<S> b{out_schema};
-  {
-    internal::MultiwayWalker<S> walk(plan, &b, &st);
-    walk.Run(scalar, 0, 0, /*bounded=*/false);
-  }
-  Relation<S> out = b.Build();
+  Relation<S> out = MorselRun<S>(
+      cx, PlannedWorkers(cx, max_rows), std::move(out_schema), cn,
+      [&](size_t t) { return !cd.EqualAt(t, t - 1); }, &ExecContext::multiway,
+      [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
+        internal::MultiwayWalker<S> walk(plan, b, &wc.multiway);
+        const bool bounded_hi = xe < cn;
+        walk.Run(scalar, xb > 0 ? cd.At(xb) : 0, bounded_hi ? cd.At(xe) : 0,
+                 bounded_hi);
+      });
   st.rows_out += static_cast<int64_t>(out.size());
   st.peak_rows = std::max(st.peak_rows, static_cast<int64_t>(out.size()));
   return out;

@@ -1,9 +1,9 @@
 // Relational algebra over semiring-annotated relations: natural join ⋈
-// (Definition 3.4), projection with ⊕-aggregation, and multi-variable
-// elimination with per-variable aggregates (the push-down step of
-// Corollary G.2 / Algorithm 3). These, with MultiwayJoin (multiway.h), are
-// every operator a plan runs; the semijoin of Appendix G.1 is itself an FAQ
-// (Boolean, F = ar(R1)) and is answered as one.
+// (Definition 3.4) and multi-variable elimination with per-variable
+// aggregates (the push-down step of Corollary G.2 / Algorithm 3). These,
+// with MultiwayJoin (multiway.h), are every operator a plan runs; the
+// semijoin of Appendix G.1 is itself an FAQ (Boolean, F = ar(R1)) and is
+// answered as one, and the root's column order is a Relation::ReorderTo.
 //
 // All operators run on the sorted-relation kernel (docs/kernel.md): inputs
 // are consumed through key-order row permutations — the identity, with no
@@ -26,11 +26,11 @@
 // equality within a column; only cross-relation key comparisons and hashes
 // decode, and rows decode at emission into the RelationBuilder.
 //
-// Each operator's emission loop is factored over a traversal *range* so the
-// morsel-parallel path (relation/parallel.h) can replay disjoint key-aligned
-// slices of the same traversal on worker threads; ExecContext::parallelism
-// == 1 (the default) runs exactly the serial loop, and results are
-// bit-identical at every parallelism level.
+// Each operator's emission loop is factored over a traversal *range* and
+// runs through one MorselRun call (relation/parallel.h): one worker (the
+// default ExecContext::parallelism == 1) emits the whole range on the
+// caller's context, more workers replay disjoint key-aligned slices of the
+// same traversal, and results are bit-identical at every parallelism level.
 #ifndef TOPOFAQ_RELATION_OPS_H_
 #define TOPOFAQ_RELATION_OPS_H_
 
@@ -259,13 +259,6 @@ void BuildRunDirectoryRange(const typename A::Col* rk, size_t nk, size_t sb,
   }
 }
 
-/// Whole-traversal directory (the serial path).
-template <typename A>
-void BuildRunDirectory(const typename A::Col* rk, size_t nk, size_t rn,
-                       const size_t* rp, std::vector<uint64_t>* table) {
-  BuildRunDirectoryRange<A>(rk, nk, 0, rn, rp, table);
-}
-
 /// Returns the traversal-position run [lo, hi) whose key equals row `lrow`
 /// of the left key view `lk`, or an empty range when there is no match.
 template <typename A>
@@ -293,17 +286,18 @@ std::pair<size_t, size_t> ProbeRunDirectory(const std::vector<uint64_t>& table,
   return {0, 0};
 }
 
-/// Probe-side handle over either the single whole-traversal run directory
-/// (serial path) or the per-shard directories of the parallel path, where
-/// shard s covers the key-aligned traversal range [cuts[s], cuts[s+1]) of
-/// the probed side and was built by one worker. Probing a sharded directory
-/// first binary-searches the shard whose first key is the largest one ≤ the
-/// probe key (shards are key-ordered), then probes only that shard's table;
-/// a key run never crosses a shard because shard cuts are key-aligned.
+/// Probe-side handle over the per-shard run directories of the probed side:
+/// shard s covers the key-aligned traversal range [cuts[s], cuts[s+1]) and
+/// its table is `(*shards)[s]`. One worker builds one shard (the serial
+/// path is the one-shard directory). Probing first binary-searches the
+/// shard whose first key is the largest one ≤ the probe key (shards are
+/// key-ordered) — no search at all with one shard — then probes only that
+/// shard's table; a key run never crosses a shard because shard cuts are
+/// key-aligned.
 struct RunDirectory {
-  const std::vector<uint64_t>* single = nullptr;
   const std::vector<std::vector<uint64_t>>* shards = nullptr;
-  const std::vector<size_t>* shard_cuts = nullptr;
+  std::vector<size_t> cuts;
+  size_t num_shards() const { return cuts.size() - 1; }
 };
 
 template <typename A>
@@ -312,11 +306,9 @@ std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
                                    size_t rn, const size_t* rp,
                                    const typename A::Col* lk, size_t lrow,
                                    int64_t* cmps) {
-  if (dir.single != nullptr)
-    return ProbeRunDirectory<A>(*dir.single, rk, nk, rn, rp, lk, lrow, cmps);
-  const std::vector<size_t>& cuts = *dir.shard_cuts;
+  const std::vector<size_t>& cuts = dir.cuts;
   size_t lo = 0;
-  size_t hi = cuts.size() - 1;  // number of shards
+  size_t hi = dir.num_shards();
   while (hi - lo > 1) {
     const size_t mid = lo + (hi - lo) / 2;
     ++*cmps;
@@ -428,13 +420,13 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
     const size_t x = lpm ? lpm[xi] : xi;
 #if defined(__GNUC__)
     // Hide the directory-probe cache miss of the next left row behind this
-    // row's emission work (single-table probes only; sharded probes start
-    // with a shard binary search instead).
-    if (!lmono && dir.single != nullptr && xi + 1 < xe) {
+    // row's emission work (one-shard directories only; several shards start
+    // each probe with a shard binary search instead).
+    if (!lmono && dir.num_shards() == 1 && xi + 1 < xe) {
       const size_t nx = lpm ? lpm[xi + 1] : xi + 1;
-      __builtin_prefetch(
-          dir.single->data() +
-          (HashKeyAt<A>(lk, nk, nx) & (dir.single->size() - 1)));
+      const std::vector<uint64_t>& table = (*dir.shards)[0];
+      __builtin_prefetch(table.data() +
+                         (HashKeyAt<A>(lk, nk, nx) & (table.size() - 1)));
     }
 #endif
     if (!have_prev || !KeysEqualAt<A>(lk, x, prev_x, nk)) {
@@ -474,25 +466,6 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
       for (size_t t = 0; t < nex; ++t) row[la + t] = A::At(rex[t], ry);
       b->Append(row, S::Multiply(left.annot(x), right.annot(ry)));
     }
-  }
-}
-
-/// Emits the projections of traversal positions [tb, te) (kept-column
-/// order via `perm`; nullptr = identity — the canonical-prefix case, spared
-/// the permutation stream entirely) into `b`; collapsing rows merge
-/// adjacently in the builder, and key-aligned morsels guarantee a collapse
-/// never straddles a morsel boundary. `kc` is the kept-column view (width
-/// `nkc`).
-template <typename A, CommutativeSemiring S>
-void ProjectEmitRange(const Relation<S>& r, const typename A::Col* kc,
-                      size_t nkc, const size_t* perm, size_t tb, size_t te,
-                      RelationBuilder<S>* b, std::vector<Value>* rowbuf) {
-  std::vector<Value>& row = *rowbuf;
-  row.resize(nkc);
-  for (size_t t = tb; t < te; ++t) {
-    const size_t src = perm ? perm[t] : t;
-    for (size_t k = 0; k < nkc; ++k) row[k] = A::At(kc[k], src);
-    b->Append(row, r.annot(src));
   }
 }
 
@@ -690,30 +663,34 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
   }
 }
 
-/// Builds per-shard run directories over the key-ordered right traversal on
-/// the worker pool: the traversal is cut into key-aligned shards, worker w
-/// claims shards through the pool and builds each into
-/// `cx.table_shards[s]`. Returns the shard cuts for RunDirectory probing.
+/// Builds the run directory over the key-ordered right traversal into
+/// `cx.table_shards`: the traversal is cut into one key-aligned shard per
+/// worker, and worker w claims shards through the pool and builds each into
+/// `cx.table_shards[s]`. One worker builds its single shard on the calling
+/// thread.
 template <typename A>
-std::vector<size_t> BuildShardedRunDirectory(ExecContext& cx, int workers,
-                                             const typename A::Col* rk,
-                                             size_t nk, size_t rn,
-                                             const size_t* rpm) {
-  std::vector<size_t> cuts =
-      KeyAlignedCuts(rn, static_cast<size_t>(workers), [&](size_t t) {
-        const size_t a = rpm ? rpm[t] : t;
-        const size_t p = rpm ? rpm[t - 1] : t - 1;
-        return !KeysEqualAt<A>(rk, a, p, nk);
-      });
-  const size_t n_shards = cuts.size() - 1;
+RunDirectory BuildShardedRunDirectory(ExecContext& cx, int workers,
+                                      const typename A::Col* rk, size_t nk,
+                                      size_t rn, const size_t* rpm) {
+  RunDirectory dir;
+  dir.shards = &cx.table_shards;
+  dir.cuts = KeyAlignedCuts(rn, static_cast<size_t>(workers), [&](size_t t) {
+    const size_t a = rpm ? rpm[t] : t;
+    const size_t p = rpm ? rpm[t - 1] : t - 1;
+    return !KeysEqualAt<A>(rk, a, p, nk);
+  });
+  const size_t n_shards = dir.num_shards();
   if (cx.table_shards.size() < n_shards) cx.table_shards.resize(n_shards);
-  WorkerPool::Shared().ParallelFor(
-      std::min<int>(workers, static_cast<int>(n_shards)), n_shards,
-      [&](int, size_t s) {
-        BuildRunDirectoryRange<A>(rk, nk, cuts[s], cuts[s + 1], rpm,
-                                  &cx.table_shards[s]);
-      });
-  return cuts;
+  auto build = [&](int, size_t s) {
+    BuildRunDirectoryRange<A>(rk, nk, dir.cuts[s], dir.cuts[s + 1], rpm,
+                              &cx.table_shards[s]);
+  };
+  if (n_shards == 1)
+    build(0, 0);
+  else
+    WorkerPool::Shared().ParallelFor(
+        std::min<int>(workers, static_cast<int>(n_shards)), n_shards, build);
+  return dir;
 }
 
 /// The Join body (see the public wrapper below for semantics), one
@@ -813,104 +790,24 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
   // duplicate right rows are adjacent in traversal order (sort stability
   // irrelevant) and duplicate outputs merge adjacently in the builder, in
   // emission order, identically on both paths.
-  const int workers = left.canonical() ? PlannedWorkers(cx, ln) : 1;
-  if (workers > 1 && rn > 0) {
-    RunDirectory dir;
-    std::vector<size_t> shard_cuts;
-    if (!lmono) {
-      shard_cuts = BuildShardedRunDirectory<A>(cx, workers, rk, nk, rn, rpm);
-      dir.shards = &cx.table_shards;
-      dir.shard_cuts = &shard_cuts;
-    }
-    Relation<S> out = MorselRun<S>(
-        cx, workers, std::move(out_schema), ln,
-        [&](size_t t) {
-          const size_t a = lpm ? lpm[t] : t;
-          const size_t p = lpm ? lpm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(lk, a, p, nk);
-        },
-        &st,
-        [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
-          b->Reserve(xe - xb);
-          JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm,
-                           lmono, dir, xb, xe, b, &wc.row, &wc.join);
-        });
-    for (int w = 0; w < workers; ++w) {
-      ExecContext& wc = cx.WorkerContext(w);
-      st += wc.join;
-      wc.join = OpStats{};
-    }
-    st.rows_out += static_cast<int64_t>(out.size());
-    return out;
-  }
-
+  const int workers =
+      left.canonical() && rn > 0 ? PlannedWorkers(cx, ln) : 1;
   RunDirectory dir;
-  if (!lmono && ln > 0 && rn > 0) {
-    BuildRunDirectory<A>(rk, nk, rn, rpm, &cx.table);
-    dir.single = &cx.table;
-  }
-  RelationBuilder<S> b{std::move(out_schema)};
-  b.Reserve(std::max(ln, rn));
-  JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm, lmono,
-                   dir, 0, ln, &b, &cx.row, &st);
-  Relation<S> out = b.Build();
-  st.rows_out += static_cast<int64_t>(out.size());
-  return out;
-}
-
-/// The Project body, one instantiation per access policy.
-template <typename A, CommutativeSemiring S>
-Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
-                        ExecContext* ctx) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  OpStats& st = cx.project;
-  ++st.calls;
-  st.rows_in += static_cast<int64_t>(r.size());
-
-  const SchemaIndex idx(r.schema());
-  std::vector<int>& pos = cx.pos_a;
-  pos.clear();
-  for (VarId v : keep) {
-    const int p = idx.PositionOf(v);
-    TOPOFAQ_CHECK_MSG(p >= 0, "projection variable not in schema");
-    pos.push_back(p);
-  }
-
-  // Traversal in kept-column order; nullptr permutation = identity (no
-  // permutation stream on the hot path) when `keep` is a canonical prefix.
-  const size_t n = r.size();
-  const size_t* perm = nullptr;
-  if (IsCanonicalKeyPrefix(r, pos)) {
-    ++st.sort_skips;
-  } else {
-    KeyOrderPerm<A>(r, pos, cx, &cx.perm_a, &st);
-    perm = cx.perm_a.data();
-  }
-  GatherCols<A>(r, pos, &ScratchCols<A>::a(cx));
-  const typename A::Col* kc = ScratchCols<A>::a(cx).data();
-  const size_t nkc = pos.size();
-
-  Relation<S> out;
-  const int workers = PlannedWorkers(cx, n);
-  if (workers > 1) {
-    out = MorselRun<S>(
-        cx, workers, Schema(keep), n,
-        [&](size_t t) {
-          const size_t a = perm ? perm[t] : t;
-          const size_t p = perm ? perm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(kc, a, p, nkc);
-        },
-        &st,
-        [&](ExecContext& wc, size_t tb, size_t te, RelationBuilder<S>* b) {
-          b->Reserve(te - tb);
-          ProjectEmitRange<A>(r, kc, nkc, perm, tb, te, b, &wc.row);
-        });
-  } else {
-    RelationBuilder<S> b{Schema(keep)};
-    b.Reserve(n);
-    ProjectEmitRange<A>(r, kc, nkc, perm, 0, n, &b, &cx.row);
-    out = b.Build();
-  }
+  if (!lmono && ln > 0 && rn > 0)
+    dir = BuildShardedRunDirectory<A>(cx, workers, rk, nk, rn, rpm);
+  Relation<S> out = MorselRun<S>(
+      cx, workers, std::move(out_schema), ln,
+      [&](size_t t) {
+        const size_t a = lpm ? lpm[t] : t;
+        const size_t p = lpm ? lpm[t - 1] : t - 1;
+        return !KeysEqualAt<A>(lk, a, p, nk);
+      },
+      &ExecContext::join,
+      [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
+        b->Reserve(xe - xb);
+        JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm,
+                         lmono, dir, xb, xe, b, &wc.row, &wc.join);
+      });
   st.rows_out += static_cast<int64_t>(out.size());
   return out;
 }
@@ -946,37 +843,21 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
   const size_t nkc = kept_pos.size();
   Schema out_schema{std::move(kept_vars)};
 
-  Relation<S> out;
-  const int workers = PlannedWorkers(cx, n);
-  if (workers > 1) {
-    out = MorselRun<S>(
-        cx, workers, std::move(out_schema), n,
-        [&](size_t t) {
-          const size_t a = perm ? perm[t] : t;
-          const size_t p = perm ? perm[t - 1] : t - 1;
-          return !KeysEqualAt<A>(kc, a, p, nkc);
-        },
-        &st,
-        [&](ExecContext& wc, size_t gb, size_t ge, RelationBuilder<S>* b) {
-          // Reserve from the group count discovered by the scan pass: the
-          // emission loop then never regrows its output columns.
-          b->Reserve(CountGroups<A>(kc, nkc, perm, gb, ge));
-          EliminateEmitRange<A>(in, kc, nkc, perm, op, gb, ge, b, &wc.row,
-                                &wc.eliminate.comparisons);
-        });
-    for (int w = 0; w < workers; ++w) {
-      ExecContext& wc = cx.WorkerContext(w);
-      st += wc.eliminate;
-      wc.eliminate = OpStats{};
-    }
-  } else {
-    RelationBuilder<S> b{std::move(out_schema)};
-    b.Reserve(CountGroups<A>(kc, nkc, perm, 0, n));
-    EliminateEmitRange<A>(in, kc, nkc, perm, op, 0, n, &b, &cx.row,
-                          &st.comparisons);
-    out = b.Build();
-  }
-  return out;
+  return MorselRun<S>(
+      cx, PlannedWorkers(cx, n), std::move(out_schema), n,
+      [&](size_t t) {
+        const size_t a = perm ? perm[t] : t;
+        const size_t p = perm ? perm[t - 1] : t - 1;
+        return !KeysEqualAt<A>(kc, a, p, nkc);
+      },
+      &ExecContext::eliminate,
+      [&](ExecContext& wc, size_t gb, size_t ge, RelationBuilder<S>* b) {
+        // Reserve from the group count discovered by the scan pass: the
+        // emission loop then never regrows its output columns.
+        b->Reserve(CountGroups<A>(kc, nkc, perm, gb, ge));
+        EliminateEmitRange<A>(in, kc, nkc, perm, op, gb, ge, b, &wc.row,
+                              &wc.eliminate.comparisons);
+      });
 }
 
 }  // namespace internal
@@ -1008,7 +889,7 @@ Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
   const bool enc = left.any_encoded() || right.any_encoded();
   // Tracing off is the overwhelmingly common case and must stay free: this
   // one branch is the operator's entire span cost (the contract
-  // bench/bench_obs_overhead.cc gates). Same shape in every wrapper below.
+  // bench/bench_obs_overhead.cc gates). MultiwayJoin has the same shape.
   if (cx.trace == nullptr) {
     return enc ? internal::JoinImpl<EncodedAccess>(left, right, &cx)
                : internal::JoinImpl<PlainAccess>(left, right, &cx);
@@ -1018,32 +899,6 @@ Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
   Relation<S> out = enc ? internal::JoinImpl<EncodedAccess>(left, right, &cx)
                         : internal::JoinImpl<PlainAccess>(left, right, &cx);
   sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.join)));
-  return out;
-}
-
-/// π with ⊕-aggregation: projects onto `keep` (which must be a subset of the
-/// schema), summing annotations of collapsing rows with S::Add.
-///
-/// Streaming: rows are walked in kept-column order (no sort when `keep` is a
-/// canonical schema prefix) and collapsing rows merge adjacently in the
-/// builder — no hash table, and the output is canonical by construction.
-/// Only the kept columns and the annotation column are ever read.
-/// Key-aligned morsels keep every collapse inside one morsel, so the
-/// parallel path (ctx->parallelism > 1) is bit-identical to serial.
-template <CommutativeSemiring S>
-Relation<S> Project(const Relation<S>& r, const std::vector<VarId>& keep,
-                    ExecContext* ctx = nullptr) {
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  if (cx.trace == nullptr) {
-    return r.any_encoded() ? internal::ProjectImpl<EncodedAccess>(r, keep, &cx)
-                           : internal::ProjectImpl<PlainAccess>(r, keep, &cx);
-  }
-  obs::Span sp(cx.trace, "project", cx.trace_track);
-  const OpStats before = cx.project;
-  Relation<S> out = r.any_encoded()
-                        ? internal::ProjectImpl<EncodedAccess>(r, keep, &cx)
-                        : internal::ProjectImpl<PlainAccess>(r, keep, &cx);
-  sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(before, cx.project)));
   return out;
 }
 

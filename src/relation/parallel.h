@@ -14,15 +14,17 @@
 //    makes per-morsel outputs concatenate into the serial result byte for
 //    byte: group folds and builder-level adjacent merges can never straddle
 //    a cut.
-//  * MorselRun — the shared fork/join scaffold: one RelationBuilder per
-//    morsel, one worker-owned ExecContext per worker (ExecContext's arena),
+//  * MorselRun — the one emission path of every kernel operator. One
+//    worker is the serial loop: the whole traversal into one builder on the
+//    caller's context. More workers get one RelationBuilder per morsel, one
+//    worker-owned ExecContext per worker (ExecContext's arena), and
 //    concatenation through Relation::ConcatPieces, which certifies the
 //    result canonical with no closing sort because morsels are disjoint key
 //    ranges in traversal order.
 //
 // Determinism contract: for fixed inputs, operator output bytes (rows and
 // annotations) are identical for every parallelism level, including 1 (the
-// serial path). Only OpStats::comparisons/morsels may differ.
+// serial path). Only OpStats::comparisons/seeks/morsels may differ.
 #ifndef TOPOFAQ_RELATION_PARALLEL_H_
 #define TOPOFAQ_RELATION_PARALLEL_H_
 
@@ -162,14 +164,18 @@ void ParallelSortPerm(std::vector<size_t>* perm, int workers, Less&& less) {
   }
 }
 
-/// The shared fork/join scaffold for morsel-parallel operators: splits the
-/// traversal [0, n) at key-run boundaries, runs
-/// `emit(worker_ctx, begin, end, builder)` per morsel on the pool (each
-/// morsel gets its own RelationBuilder; each worker its own child context
-/// for scratch and stats), and concatenates the per-morsel outputs — already
-/// globally sorted because morsels are disjoint key ranges in traversal
-/// order. Returns the canonical result and reports the morsel count in
-/// `st->morsels`; callers roll worker stats up separately.
+/// The one emission scaffold of every kernel operator: runs
+/// `emit(ctx, begin, end, builder)` over the traversal [0, n) and returns
+/// the canonical result.
+///
+/// `workers <= 1` is the serial path: one emission of [0, n) on the
+/// caller's context into one builder — no morsel count, no cancel check, no
+/// worker pool. Otherwise the traversal is split at key-run boundaries, each
+/// morsel is emitted on the pool into its own RelationBuilder (each worker
+/// with its own child context for scratch and stats), and the per-morsel
+/// outputs are concatenated — already globally sorted because morsels are
+/// disjoint key ranges in traversal order. The morsel count lands in
+/// `cx.*stats`, and every worker's `*stats` rolls up into it.
 ///
 /// Cancellation (server/engine.h): the owning context's cancel token is
 /// checked once per morsel, inside the ParallelFor task body, before the
@@ -181,7 +187,13 @@ void ParallelSortPerm(std::vector<size_t>* perm, int workers, Less&& less) {
 /// surfacing Status::Cancelled instead.
 template <CommutativeSemiring S, typename StartsRun, typename Emit>
 Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
-                      StartsRun&& starts_run, OpStats* st, Emit&& emit) {
+                      StartsRun&& starts_run, OpStats ExecContext::*stats,
+                      Emit&& emit) {
+  if (workers <= 1) {
+    RelationBuilder<S> b{std::move(schema)};
+    emit(cx, size_t{0}, n, &b);
+    return b.Build();
+  }
   std::vector<size_t> cuts =
       KeyAlignedCuts(n, static_cast<size_t>(workers) * kMorselsPerWorker,
                      starts_run);
@@ -217,7 +229,13 @@ Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
                       cuts[t + 1]);
         sp.SetArgsJson(args);
       });
-  st->morsels += static_cast<int64_t>(m);
+  OpStats& st = cx.*stats;
+  st.morsels += static_cast<int64_t>(m);
+  for (int w = 0; w < workers; ++w) {
+    OpStats& ws = cx.WorkerContext(w).*stats;
+    st += ws;
+    ws = OpStats{};
+  }
   std::vector<Relation<S>> pieces;
   pieces.reserve(m);
   for (auto& b : builders) pieces.push_back(b.Build());

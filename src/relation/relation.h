@@ -486,6 +486,25 @@ class Relation {
     sorted_distinct_ = false;
   }
 
+  /// Puts the columns in `target`'s order (same variable set, any order)
+  /// and certifies the result canonical. A matching order moves no column;
+  /// otherwise ReorderColumns permutes the column handles. Either way a
+  /// non-canonical relation is re-canonicalized, which ⊕-folds its duplicate
+  /// rows. Solvers finish their answer over F with this, and incremental
+  /// terms align with the message they fold into.
+  void ReorderTo(const Schema& target, ExecContext* ctx = nullptr) {
+    if (schema_ != target) {
+      TOPOFAQ_CHECK_MSG(arity() == target.arity(), "ReorderTo: arity mismatch");
+      std::vector<int> src(target.arity());
+      for (size_t j = 0; j < target.arity(); ++j) {
+        src[j] = schema_.PositionOf(target.var(j));
+        TOPOFAQ_CHECK_MSG(src[j] >= 0, "ReorderTo: variable set mismatch");
+      }
+      ReorderColumns(target, src);
+    }
+    Canonicalize(ctx);
+  }
+
   /// Concatenates per-morsel pieces produced by the parallel kernel
   /// (docs/kernel.md): each piece is the canonical output of one morsel, and
   /// morsels are disjoint key-aligned traversal ranges in nondecreasing

@@ -7,8 +7,6 @@
 #include <numeric>
 #include <string>
 
-#include "hypergraph/gyo.h"
-
 namespace topofaq {
 
 namespace {
@@ -26,7 +24,8 @@ QueryBounds AdmissionController::Assess(
     size_t num_free_vars, uint64_t domain, const WidthResult& width) const {
   QueryBounds b;
   b.y = width.internal_nodes;
-  b.cyclic = !IsAcyclic(h);
+  // The plan's GYO reduction already decided acyclicity; no second pass.
+  b.cyclic = !width.decomposition.core_forest.gyo.acyclic;
   b.n2 = width.n2;
   for (const RelationProfile& p : profiles)
     b.max_input_rows = std::max(b.max_input_rows, p.rows);

@@ -68,8 +68,9 @@ RelationProfile ProfileRelation(const Relation<S>& r) {
 struct QueryBounds {
   int y = 0;   ///< internal-node-width of the cached decomposition
   int n2 = 0;  ///< |V(C(H))| of the cached decomposition
-  /// GYO-cyclic (residual core non-empty). Note y >= 1 does NOT mean cyclic:
-  /// every multi-edge acyclic H already has internal join-tree nodes.
+  /// GYO-cyclic (residual core non-empty), read off the plan's own GYO
+  /// reduction. Note y >= 1 does NOT mean cyclic: every multi-edge acyclic
+  /// H already has internal join-tree nodes.
   bool cyclic = false;
   /// log2 of the output-size bound (min of domain and chain bounds).
   double log2_output = 0.0;

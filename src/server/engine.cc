@@ -185,6 +185,7 @@ std::shared_ptr<Session> Engine::Submit(QueryRequest req) {
   job.req = std::move(req);
   job.session = session;
   job.plan_cache_hit = a.plan_hit;
+  job.width = std::move(a.width);
   job.trace = std::move(tr);
   job.trace_track = track;
   // Close before stamping enqueued: the submit span and the queue_wait span
@@ -294,7 +295,7 @@ void Engine::RunJob(Job& job, ExecContext& ctx) {
       return Status::Cancelled("query cancelled while queued");
     return std::visit(
         [&](const auto& q) -> Result<QueryResult> {
-          auto ans = YannakakisSolve(q, &ctx);
+          auto ans = YannakakisSolveOn(q, job.width.decomposition, &ctx);
           if (!ans.ok()) return ans.status();
           if (ctx.cancelled())
             return Status::Cancelled("query cancelled mid-solve");

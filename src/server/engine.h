@@ -29,8 +29,9 @@
 // surfaces Status::Cancelled. Queued queries cancel without running.
 //
 // This is the one public solve surface: examples, benches, and the shell go
-// through Engine::Solve, which runs every validated query on its GHD plan
-// (YannakakisSolve, faq/solvers.h) — there is no second solver to pick.
+// through Engine::Solve, which runs every validated query on the GHD plan
+// admission looked up (YannakakisSolveOn, faq/solvers.h) — there is no
+// second solver to pick.
 #ifndef TOPOFAQ_SERVER_ENGINE_H_
 #define TOPOFAQ_SERVER_ENGINE_H_
 
@@ -155,6 +156,9 @@ class Engine {
     QueryBounds bounds;
     QueueClass klass = QueueClass::kGeneral;
     bool plan_cache_hit = false;
+    /// Admission's plan: RunJob executes this decomposition, so a query is
+    /// looked up in the PlanCache once.
+    WidthResult width;
     std::chrono::steady_clock::time_point enqueued;
     /// Snapshot of the engine's trace session at submit time (null = tracing
     /// was off): keeps the session alive until the job delivers even if
@@ -182,8 +186,8 @@ class Engine {
 
   /// The one admission path Submit and Subscribe share: validate, profile
   /// the relations, plan through the shared PlanCache (with the exact keys
-  /// YannakakisSolve uses, so admission warms the plan execution consumes),
-  /// then assess and admit. Each stage is a span on `track` of `tr` (null =
+  /// YannakakisSolve uses; Submit's job then runs this plan), then assess
+  /// and admit. Each stage is a span on `track` of `tr` (null =
   /// tracing off). Counts the plan-cache lookup, and a refusal as rejected.
   /// Stops after a failed validation.
   Admission AdmitRequest(const QueryRequest& req, obs::TraceSession* tr,

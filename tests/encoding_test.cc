@@ -299,7 +299,7 @@ Relation<S> Recode(const Relation<S>& r, EncodingMode m) {
   return out;
 }
 
-/// Runs Join/Project/Eliminate on (left, right) under every
+/// Runs Join/Eliminate on (left, right) under every
 /// encoding pairing and parallelism level; all results must match the
 /// all-plain serial bytes. Outputs are built under kPlain scope so the
 /// comparison isolates *input* encodings (output encoding is covered by
@@ -313,7 +313,6 @@ void CheckOpsEncodingInvariant(const Relation<S>& left,
   ExecContext serial;
   serial.parallelism = 1;
   const Relation<S> join0 = Join(left, right, &serial);
-  const Relation<S> proj0 = Project(left, {left.schema().var(0)}, &serial);
   const Relation<S> elim0 =
       Eliminate(left, {left.schema().var(left.arity() - 1)},
                 {VarOp::kSemiringSum}, &serial);
@@ -330,7 +329,6 @@ void CheckOpsEncodingInvariant(const Relation<S>& left,
                      " rm=" + std::to_string(int(rm)) + " p=" +
                      std::to_string(p));
         EXPECT_TRUE(BytesEqual(Join(l, r, &ctx), join0));
-        EXPECT_TRUE(BytesEqual(Project(l, {l.schema().var(0)}, &ctx), proj0));
         EXPECT_TRUE(BytesEqual(
             Eliminate(l, {l.schema().var(l.arity() - 1)},
                       {VarOp::kSemiringSum}, &ctx),

@@ -18,6 +18,7 @@
 #include "faq/parse.h"
 #include "faq/solvers.h"
 #include "hypergraph/generators.h"
+#include "hypergraph/gyo.h"
 #include "oracle.h"
 #include "random_instances.h"
 #include "server/engine.h"
@@ -286,6 +287,71 @@ TEST(Engine, SubscribeSharesSubmitAdmissionCounters) {
   EXPECT_EQ(rejected(), rej0 + 1);
   EXPECT_EQ(engine.stats().rejected, 1);
   EXPECT_EQ(hits() + misses(), hit0 + miss0 + 3);
+}
+
+TEST(Engine, SolveLooksUpItsPlanOnce) {
+  // Admission plans a query and execution runs that plan: each Solve makes
+  // exactly one PlanCache lookup, and the engine's plan-cache counters
+  // count exactly those lookups.
+  PlanCache::Shared().Clear();
+  Engine engine;
+  const auto lookups = [] {
+    const PlanCache::Stats s = PlanCache::Shared().stats();
+    return s.hits + s.misses;
+  };
+  const auto counted = [&] {
+    return MetricsCounter(engine, "engine.plan_cache.hit") +
+           MetricsCounter(engine, "engine.plan_cache.miss");
+  };
+  const int64_t lookups0 = lookups(), counted0 = counted();
+  for (int i = 0; i < 3; ++i) {
+    QueryRequest req;
+    req.query =
+        RandomQuery<NaturalSemiring>(StarGraph(3), 100, 16, 70 + i, {0});
+    ASSERT_TRUE(engine.Solve(std::move(req)).ok());
+    EXPECT_EQ(lookups(), lookups0 + i + 1);
+    EXPECT_EQ(counted() - counted0, lookups() - lookups0);
+  }
+  EXPECT_EQ(PlanCache::Shared().stats().misses, 1);
+}
+
+TEST(Admission, CyclicityIsThePlansGyoVerdict) {
+  // Assess reads `cyclic` off the plan's own GYO reduction instead of
+  // running a second one: over random and named shapes, with and without
+  // free variables, it must agree with a fresh IsAcyclic.
+  std::vector<Hypergraph> shapes = {PaperH0(), PaperH1(), PaperH2(),
+                                    PaperH3()};
+  for (int n = 3; n <= 7; ++n) {
+    shapes.push_back(CycleGraph(n));
+    shapes.push_back(CliqueGraph(n));
+    shapes.push_back(StarGraph(n));
+    shapes.push_back(PathGraph(n));
+  }
+  Rng rng(815);
+  for (int i = 0; i < 60; ++i) {
+    shapes.push_back(RandomHypergraph(4 + i % 6, 1 + i % 3, 2 + i % 3, &rng));
+    shapes.push_back(RandomDDegenerate(4 + i % 5, 1 + i % 3, &rng));
+    shapes.push_back(RandomAcyclicHypergraph(2 + i % 5, 3, &rng));
+    shapes.push_back(RandomForest(2, 2 + i % 4, &rng));
+  }
+  const AdmissionController admission{AdmissionOptions{}};
+  int cyclic = 0, acyclic = 0;
+  for (const Hypergraph& h : shapes) {
+    ASSERT_GT(h.num_edges(), 0);
+    const std::vector<VarId> last = h.edge(h.num_edges() - 1);
+    for (const std::vector<VarId>& f :
+         {std::vector<VarId>{}, std::vector<VarId>{h.edge(0).front()},
+          std::vector<VarId>{last.back()}}) {
+      const WidthResult w = PlanCache::Shared().PlanFor(h, f).value();
+      const std::vector<RelationProfile> profiles(
+          static_cast<size_t>(h.num_edges()));
+      const QueryBounds b = admission.Assess(h, profiles, f.size(), 2, w);
+      EXPECT_EQ(b.cyclic, !IsAcyclic(h));
+      (b.cyclic ? cyclic : acyclic) += 1;
+    }
+  }
+  EXPECT_GT(cyclic, 0);
+  EXPECT_GT(acyclic, 0);
 }
 
 TEST(Engine, ProfileRelationMeasuresLeadingRuns) {

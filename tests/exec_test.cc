@@ -6,8 +6,11 @@
 
 #include "faq/solvers.h"
 #include "oracle.h"
+#include "relation/encoding.h"
 #include "relation/exec.h"
+#include "relation/multiway.h"
 #include "relation/ops.h"
+#include "relation/simd.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -85,12 +88,65 @@ TEST(ExecContext, ResetAndTotals) {
   ExecContext ctx;
   NRel a = MakeRel({0}, {{1}, {2}});
   Join(a, a, &ctx);
-  Project(a, {}, &ctx);
   OpStats t = ctx.Totals();
-  EXPECT_EQ(t.calls, 2);
+  EXPECT_EQ(t.calls, 1);
   EXPECT_FALSE(ctx.DebugString().empty());
   ctx.ResetStats();
   EXPECT_EQ(ctx.Totals().calls, 0);
+}
+
+/// One operator's pinned counters.
+struct OpPin {
+  int64_t calls, rows_in, rows_out, comparisons, seeks, sort_skips;
+};
+
+void ExpectPinned(const OpStats& st, const OpPin& p) {
+  EXPECT_EQ(st.calls, p.calls);
+  EXPECT_EQ(st.rows_in, p.rows_in);
+  EXPECT_EQ(st.rows_out, p.rows_out);
+  EXPECT_EQ(st.comparisons, p.comparisons);
+  EXPECT_EQ(st.seeks, p.seeks);
+  EXPECT_EQ(st.sort_skips, p.sort_skips);
+  EXPECT_EQ(st.morsels, 0);
+}
+
+TEST(ExecContext, SerialOpStatsArePinned) {
+  // One worker runs each operator's emission once, on the caller's
+  // context: its counters on fixed inputs are pinned exactly (scalar
+  // kernels and plain columns, so the pins hold on every host and CI leg).
+  ScopedSimdMode scalar(false);
+  ScopedEncodingMode plain(EncodingMode::kPlain);
+  Rng rng(2026);
+  auto random_rel = [&](std::vector<VarId> vars, int rows, uint64_t dom) {
+    NRel r{Schema(std::move(vars))};
+    for (int i = 0; i < rows; ++i) {
+      std::vector<Value> row;
+      for (size_t j = 0; j < r.arity(); ++j) row.push_back(rng.NextU64(dom));
+      r.Add(row, rng.NextU64(5) + 1);
+    }
+    r.Canonicalize();
+    return r;
+  };
+  const NRel r01 = random_rel({0, 1}, 400, 40);
+  const NRel s02 = random_rel({0, 2}, 300, 40);
+  const NRel s12 = random_rel({1, 2}, 300, 40);
+  const NRel t02 = random_rel({0, 2}, 300, 30);
+  const NRel u012 = random_rel({0, 1, 2}, 900, 30);
+  ExecContext ctx;
+  ctx.parallelism = 1;
+
+  const NRel merged = Join(r01, s02, &ctx);  // key {0}: prefix on both sides
+  ExpectPinned(ctx.join, {1, 624, 2358, 305, 0, 2});
+  ctx.ResetStats();
+  const NRel probed = Join(r01, s12, &ctx);  // key {1}: directory probe
+  ExpectPinned(ctx.join, {1, 628, 2408, 2767, 0, 2});
+  ctx.ResetStats();
+  Eliminate(probed, {0}, {VarOp::kSemiringSum}, &ctx);  // kept {1, 2}: sort
+  Eliminate(merged, {2}, {VarOp::kSemiringSum}, &ctx);  // kept prefix
+  ExpectPinned(ctx.eliminate, {2, 4766, 628, 33662, 0, 1});
+  ctx.ResetStats();
+  MultiwayJoin<NaturalSemiring>({r01, s12, t02, u012}, &ctx);
+  ExpectPinned(ctx.multiway, {1, 1758, 10, 7297, 1116, 4});
 }
 
 TEST(ExecContext, ScratchReuseIsCorrectAcrossManyCalls) {

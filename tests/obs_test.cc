@@ -261,8 +261,7 @@ TEST(EngineObs, TracedSolveRecordsEveryPipelineStage) {
   size_t ops = 0;
   for (const auto& e : ev) {
     const std::string n = e.name;
-    if (n == "join" || n == "project" || n == "eliminate" ||
-        n == "multiway") {
+    if (n == "join" || n == "eliminate" || n == "multiway") {
       ++ops;
       EXPECT_GE(e.ts_us, execute->ts_us);
       EXPECT_LE(e.ts_us + e.dur_us, execute->ts_us + execute->dur_us + 1e-3);

@@ -10,6 +10,7 @@
 #define TOPOFAQ_TESTS_ORACLE_H_
 
 #include "faq/solvers.h"
+#include "reference_ops.h"
 
 namespace topofaq {
 
@@ -20,7 +21,7 @@ Result<Relation<S>> BruteForceSolve(const FaqQuery<S>& q,
   TOPOFAQ_RETURN_IF_ERROR(q.Validate());
   Relation<S> acc =
       internal::JoinAndEliminate(q.relations, q.free_vars, q, ctx);
-  return Project(acc, q.free_vars, ctx);
+  return reference::Project(acc, q.free_vars);
 }
 
 }  // namespace topofaq

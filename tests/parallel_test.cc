@@ -1,9 +1,8 @@
 // Morsel-parallel kernel tests (docs/kernel.md, "Morsel-parallel
 // execution"): the WorkerPool fork/join contract, key-aligned morsel cuts,
 // and — the core guarantee — byte-identical canonical output across
-// parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Project /
-// Eliminate over four semirings, including empty, skewed, and
-// single-key-run inputs.
+// parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Eliminate over
+// four semirings, including empty, skewed, and single-key-run inputs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -150,10 +149,6 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
   ExecContext serial;
   serial.parallelism = 1;
   const Relation<S> join1 = Join(left, right, &serial);
-  const Relation<S> proj1 =
-      left.arity() > 1
-          ? Project(left, {left.schema().var(0)}, &serial)
-          : Project(left, left.schema().vars(), &serial);
   const Relation<S> elim1 =
       left.arity() > 1
           ? Eliminate(left, {left.schema().var(left.arity() - 1)},
@@ -164,10 +159,6 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
     ctx.parallelism = p;
     SCOPED_TRACE(std::string(what) + " @ parallelism " + std::to_string(p));
     EXPECT_TRUE(BytesEqual(Join(left, right, &ctx), join1));
-    EXPECT_TRUE(BytesEqual(
-        left.arity() > 1 ? Project(left, {left.schema().var(0)}, &ctx)
-                         : Project(left, left.schema().vars(), &ctx),
-        proj1));
     if (left.arity() > 1)
       EXPECT_TRUE(BytesEqual(
           Eliminate(left, {left.schema().var(left.arity() - 1)},

@@ -275,26 +275,6 @@ TEST(Join, EmptyInputGivesEmptyOutput) {
   EXPECT_TRUE(Join(s, r).empty());
 }
 
-TEST(Project, SumsAnnotations) {
-  NRel r{Schema({0, 1})};
-  r.Add({1, 10}, 2);
-  r.Add({1, 11}, 3);
-  r.Add({2, 10}, 5);
-  NRel p = Project(r, {0});
-  ASSERT_EQ(p.size(), 2u);
-  EXPECT_EQ(p.annot(0), 5u);  // tuple (1)
-  EXPECT_EQ(p.annot(1), 5u);  // tuple (2)
-}
-
-TEST(Project, ToEmptySchemaGivesGrandTotal) {
-  NRel r{Schema({0})};
-  r.Add({1}, 2);
-  r.Add({2}, 3);
-  NRel p = Project(r, {});
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p.annot(0), 5u);
-}
-
 TEST(EliminateVar, MaxAggregate) {
   CRel r{Schema({0, 1})};
   r.Add({1, 10}, 2.0);
@@ -324,7 +304,7 @@ TEST(EliminateVar, SumEqualsProject) {
             rng.NextU64(5) + 1);
     r.Canonicalize();
     NRel a = Eliminate(r, {1}, {VarOp::kSemiringSum});
-    NRel b = Project(r, {0, 2});
+    NRel b = reference::Project(r, {0, 2});
     EXPECT_TRUE(a.EqualsAsFunction(b));
   }
 }
@@ -393,24 +373,9 @@ TEST_P(JoinProperty, JoinIsCommutativeAsFunction) {
   a.Canonicalize();
   b.Canonicalize();
   NRel ab = Join(a, b);
-  NRel ba = Project(Join(b, a), ab.schema().vars());
+  NRel ba = Join(b, a);
+  ba.ReorderTo(ab.schema());
   EXPECT_TRUE(ab.EqualsAsFunction(ba));
-}
-
-TEST_P(JoinProperty, ProjectionCommutesWithUnionOfAdds) {
-  // sum over all tuples is invariant under projection order.
-  Rng rng(3000 + GetParam());
-  NRel a{Schema({0, 1, 2})};
-  for (int i = 0; i < 40; ++i)
-    a.Add({rng.NextU64(3), rng.NextU64(3), rng.NextU64(3)},
-          rng.NextU64(9) + 1);
-  a.Canonicalize();
-  NRel p1 = Project(Project(a, {0, 1}), {0});
-  NRel p2 = Project(Project(a, {0, 2}), {0});
-  EXPECT_TRUE(p1.EqualsAsFunction(p2));
-  NRel total1 = Project(p1, {});
-  NRel total2 = Project(a, {});
-  EXPECT_TRUE(total1.EqualsAsFunction(total2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, JoinProperty, ::testing::Range(0, 12));
@@ -496,7 +461,7 @@ Relation<S> RandomRel(Rng* rng, std::vector<VarId> vars, int tuples,
   return r;
 }
 
-/// Checks kernel == reference for Join/Project/Eliminate on random
+/// Checks kernel == reference for Join/Eliminate on random
 /// inputs over semiring S (randomized schemas with overlapping, disjoint,
 /// and identical variable sets).
 template <CommutativeSemiring S, typename AnnotFn>
@@ -510,12 +475,6 @@ void CrossCheckAgainstReference(uint64_t seed, AnnotFn annot) {
                           annot);
     EXPECT_TRUE(Join(a, b).EqualsAsFunction(reference::Join(a, b)))
         << "join iter " << iter;
-    // Project onto a random (possibly reordered) subset of a's schema.
-    std::vector<VarId> keep = a.schema().vars();
-    rng.Shuffle(&keep);
-    keep.resize(rng.NextU64(keep.size() + 1));
-    EXPECT_TRUE(Project(a, keep).EqualsAsFunction(reference::Project(a, keep)))
-        << "project iter " << iter;
     const VarId ev = a.schema().var(rng.NextU64(a.arity()));
     for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax, VarOp::kMin})
       EXPECT_TRUE(Eliminate(a, {ev}, {op}).EqualsAsFunction(
@@ -583,8 +542,6 @@ TEST(KernelOps, NonCanonicalInputsStillAgreeWithReference) {
     }
     ASSERT_FALSE(a.canonical());
     EXPECT_TRUE(Join(a, b).EqualsAsFunction(reference::Join(a, b)));
-    EXPECT_TRUE(
-        Project(a, {1}).EqualsAsFunction(reference::Project(a, {1})));
   }
 }
 
@@ -973,7 +930,7 @@ Relation<S> ShapedRel(Rng* rng, std::vector<VarId> vars, size_t n,
 }
 
 /// Differential check of the columnar kernel against reference_ops at the
-/// given parallelism: Join/Project/Eliminate on 2000-row inputs of
+/// given parallelism: Join/Eliminate on 2000-row inputs of
 /// the named shape (above kParallelMinRows, so p > 1 really fans out).
 template <CommutativeSemiring S, typename AnnotFn>
 void CrossCheckShapedAtParallelism(uint64_t seed, Shape shape, int p,
@@ -984,8 +941,6 @@ void CrossCheckShapedAtParallelism(uint64_t seed, Shape shape, int p,
   auto a = ShapedRel<S>(&rng, {0, 1}, 2000, shape, annot);
   auto b = ShapedRel<S>(&rng, {1, 2}, 2000, shape, annot);
   EXPECT_TRUE(Join(a, b, &ctx).EqualsAsFunction(reference::Join(a, b)));
-  EXPECT_TRUE(Project(a, {1}, &ctx).EqualsAsFunction(
-      reference::Project(a, {1})));
   if (!a.empty()) {
     for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax})
       EXPECT_TRUE(Eliminate(a, {1}, {op}, &ctx).EqualsAsFunction(
