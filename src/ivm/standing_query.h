@@ -16,10 +16,10 @@
 //    Join(C, B) by distributivity, Eliminate and the root's column reorder
 //    commute with ⊕ — so at each node the incremental term is the node step
 //    over Δchild and every *other* operand at its current value, folded
-//    into the stored message, and forwarded. One root-to-leaf path of delta-sized joins; untouched
-//    subtrees are never visited. Bit-identity vs full recompute holds
-//    because ⊕/⊗ in these rings are exact and order-free, and every
-//    materialized state stays in canonical form.
+//    into the stored message, and forwarded. One root-to-leaf path of
+//    delta-sized joins; untouched subtrees are never visited. Bit-identity
+//    vs full recompute holds because ⊕/⊗ in these rings are exact and
+//    order-free, and every materialized state stays in canonical form.
 //
 //  * Affected-subtree recompute (everything else — idempotent semirings
 //    like Boolean/MinPlus/MaxProduct, inexact Counting, or min/max bound

@@ -260,9 +260,9 @@ class MultiwayWalker {
 
   /// Runs the walk over the outermost-key window [win_lo, win_hi) — the
   /// morsel contract. win_lo == 0 skips the entry seek (every iterator
-  /// already starts at >= 0); bounded == false drops the upper limit (the
-  /// last morsel, and the whole walk for serial callers, who pass
-  /// (0, 0, false)).
+  /// already starts at >= 0; the first morsel passes it); bounded == false
+  /// drops the upper limit (the last morsel — with one worker the only
+  /// one, which passes (0, 0, false)).
   void Run(SemiringValue scalar, Value win_lo, Value win_hi, bool bounded) {
     for (size_t i = 0; i < plan_.rels.size(); ++i) {
       if (plan_.rels[i].empty()) return;  // any empty input: empty join

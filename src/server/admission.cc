@@ -24,7 +24,7 @@ QueryBounds AdmissionController::Assess(
     size_t num_free_vars, uint64_t domain, const WidthResult& width) const {
   QueryBounds b;
   b.y = width.internal_nodes;
-  // The plan's GYO reduction already decided acyclicity; no second pass.
+  // The plan's GYO reduction already decided acyclicity.
   b.cyclic = !width.decomposition.core_forest.gyo.acyclic;
   b.n2 = width.n2;
   for (const RelationProfile& p : profiles)
