@@ -82,7 +82,7 @@ size_t DriveFrontier(const std::vector<T>& a, const std::vector<T>& b,
 }
 
 void BenchFrontier64(std::vector<Row>* rows, const Sets& s, const char* name,
-                     int reps) {
+                     int reps, bool vec) {
   size_t ms_ = 0, mv = 0;
   const double scalar_ms = bench::TimeMs(reps, [&] {
     ms_ = DriveFrontier(s.a64, s.b64,
@@ -94,10 +94,10 @@ void BenchFrontier64(std::vector<Row>* rows, const Sets& s, const char* name,
   });
   const double simd_ms = bench::TimeMs(reps, [&] {
     mv = DriveFrontier(s.a64, s.b64,
-                       [](const Value* a, size_t i, size_t an, const Value* b,
-                          size_t j, size_t bn, size_t mb) {
-                         return simd::NextMatchU64(a, i, an, b, j, bn, mb,
-                                                   nullptr);
+                       [vec](const Value* a, size_t i, size_t an,
+                             const Value* b, size_t j, size_t bn, size_t mb) {
+                         return simd::NextMatchU64(vec, a, i, an, b, j, bn,
+                                                   mb, nullptr);
                        });
   });
   if (ms_ != mv) Fatal(name);
@@ -107,7 +107,7 @@ void BenchFrontier64(std::vector<Row>* rows, const Sets& s, const char* name,
 /// The gallop-closing shape: lower bounds over 128-wide windows, the span
 /// at which TrieSeek hands its binary search to simd::LowerBoundU64.
 void BenchGallop64(std::vector<Row>* rows, const Sets& s, const char* name,
-                   int reps, std::mt19937_64* rng) {
+                   int reps, bool vec, std::mt19937_64* rng) {
   constexpr size_t kWindow = 128;
   constexpr size_t kProbes = 1 << 16;
   std::vector<size_t> starts(kProbes);
@@ -127,8 +127,8 @@ void BenchGallop64(std::vector<Row>* rows, const Sets& s, const char* name,
   const double simd_ms = bench::TimeMs(reps, [&] {
     hv = 0;
     for (size_t p = 0; p < kProbes; ++p)
-      hv += simd::LowerBoundU64(s.a64.data(), starts[p], starts[p] + kWindow,
-                                keys[p], false, nullptr);
+      hv += simd::LowerBoundU64(vec, s.a64.data(), starts[p],
+                                starts[p] + kWindow, keys[p], false, nullptr);
   });
   if (hs != hv) Fatal(name);
   rows->push_back({name, kN, kProbes, simd_ms, scalar_ms});
@@ -160,8 +160,9 @@ int main(int argc, char** argv) {
       bench::ParseBenchArgs(&argc, argv, "BENCH_intersect.json");
   const int reps = args.quick ? 5 : 9;
 
-  ScopedSimdMode force_on(true);
-  if (!simd::Available())
+  // The SIMD legs run the vector bodies whenever the host has them.
+  const bool vec = simd::Available(true);
+  if (!vec)
     std::fprintf(stderr,
                  "warning: AVX2 unavailable; SIMD legs run the scalar body "
                  "(speedups will be ~1.0)\n");
@@ -171,8 +172,8 @@ int main(int argc, char** argv) {
   std::mt19937_64 rng(0x70F0FA9u);
   std::vector<Row> rows;
   const Sets s = MakeSets(1e-2, &rng);
-  BenchFrontier64(&rows, s, "frontier64_s1e2", reps);
-  BenchGallop64(&rows, s, "gallop64_w128", reps, &rng);
+  BenchFrontier64(&rows, s, "frontier64_s1e2", reps, vec);
+  BenchGallop64(&rows, s, "gallop64_w128", reps, vec, &rng);
   for (const Row& r : rows)
     std::printf("%-18s %9zu %9zu %9.3f %10.3f %7.2fx\n", r.bench.c_str(), r.n,
                 r.out_rows, r.simd_ms, r.scalar_ms, r.scalar_ms / r.simd_ms);

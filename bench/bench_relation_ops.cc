@@ -43,6 +43,7 @@
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
+#include "tests/random_instances.h"
 #include "tests/reference_ops.h"
 #include "util/rng.h"
 
@@ -89,17 +90,19 @@ void Report(std::vector<Row>* rows, std::string bench, size_t n,
 }
 
 /// Times `fn(&ctx)` at parallelism 1 and at g_parallelism; checks outputs
-/// byte-identical; returns {serial_ms, parallel_ms, serial_out}.
+/// byte-identical; returns {serial_ms, parallel_ms, serial_out}. Outputs
+/// are stored under `out_mode`.
 template <typename Fn>
-std::tuple<double, double, NRel> TimeKernel(int reps, const char* what,
-                                            Fn&& fn) {
-  ExecContext serial;
+std::tuple<double, double, NRel> TimeKernel(
+    int reps, const char* what, Fn&& fn,
+    EncodingMode out_mode = DefaultEncodingMode()) {
+  EncodingContext serial(out_mode);
   serial.parallelism = 1;
   NRel out1;
   const double k1 = TimeMs(reps, [&] { out1 = fn(&serial); });
   double kp = k1;
   if (g_parallelism > 1) {
-    ExecContext par;
+    EncodingContext par(out_mode);
     par.parallelism = g_parallelism;
     NRel outp;
     kp = TimeMs(reps, [&] { outp = fn(&par); });
@@ -163,11 +166,26 @@ uint64_t FoldStep(uint64_t acc, Value key, uint64_t annot) {
   return acc + key * 3 + annot;
 }
 
+/// The scan fold over raw pointers: keys[i * stride] with annots[i] for
+/// i < n. Every plain scan row times this one out-of-line loop, so a row's
+/// timings differ only in the memory they read. Inlined into the timing
+/// lambdas instead, GCC kept the accumulator on the stack in some of them
+/// and not in others, and the rows compared code generation, not layout.
+__attribute__((noinline)) uint64_t FoldColumn(uint64_t acc, const Value* keys,
+                                              size_t stride,
+                                              const uint64_t* annots,
+                                              size_t n) {
+  for (size_t i = 0; i < n; ++i)
+    acc = FoldStep(acc, keys[i * stride], annots[i]);
+  return acc;
+}
+
 /// scan: fold key column 0 + annotations of an N-row 3-column relation.
-/// kernel_ms reads the contiguous column view; reference_ms reads the same
-/// values through a row-major materialization with stride = arity — the
-/// committed layout before this PR. Results are checked equal, and the
-/// reported speedup is the pure layout effect the CI floor gates.
+/// kernel_ms folds the contiguous column (stride 1); reference_ms folds the
+/// same values through a row-major materialization (stride = arity), the
+/// layout before columnar storage. Both run FoldColumn; results are checked
+/// equal, and the reported speedup is the pure layout effect the CI floor
+/// gates.
 /// Scan kernels run well under a millisecond; a single call is below the
 /// steady_clock jitter floor. Each timed window repeats the fold until the
 /// window is ~a millisecond, and the reported time is per-fold.
@@ -178,13 +196,13 @@ void BenchScan(std::vector<Row>* rows, size_t n, int reps) {
   NRel r = RandomRel({0, 1, 2}, n, dom, 43 + n);
   const std::vector<Value> flat = r.MaterializeRows();
   const size_t arity = r.arity();
+  const Value* c0 = r.col(0).data();
+  const uint64_t* an = r.annots().data();
   uint64_t col_acc = 0;
   const double k1 = TimeMs(reps, [&] {
     uint64_t acc = 0;
     for (int it = 0; it < kScanInner; ++it) {
-      const Value* c0 = r.col(0).data();
-      for (size_t i = 0; i < r.size(); ++i)
-        acc = FoldStep(acc, c0[i], r.annot(i));
+      acc = FoldColumn(acc, c0, 1, an, r.size());
       asm volatile("" ::: "memory");
     }
     col_acc = acc;
@@ -193,9 +211,7 @@ void BenchScan(std::vector<Row>* rows, size_t n, int reps) {
   const double h = TimeMs(reps, [&] {
     uint64_t acc = 0;
     for (int it = 0; it < kScanInner; ++it) {
-      const Value* d = flat.data();
-      for (size_t i = 0; i < r.size(); ++i)
-        acc = FoldStep(acc, d[i * arity], r.annot(i));
+      acc = FoldColumn(acc, flat.data(), arity, an, r.size());
       asm volatile("" ::: "memory");
     }
     row_acc = acc;
@@ -206,7 +222,7 @@ void BenchScan(std::vector<Row>* rows, size_t n, int reps) {
 
 /// Skewed low-cardinality relation: the narrow front-loaded value
 /// distribution the auto encoding policy targets (FOR deltas a few bits
-/// wide on every column).
+/// wide on every column), stored plain.
 NRel SkewedRel(const std::vector<VarId>& vars, size_t n, uint64_t seed) {
   Rng rng(seed);
   const uint64_t dom = std::max<uint64_t>(32, n / 8);
@@ -219,26 +235,19 @@ NRel SkewedRel(const std::vector<VarId>& vars, size_t n, uint64_t seed) {
     }
     r.Add(row, rng.NextU64(100) + 1);
   }
-  r.Canonicalize();
+  EncodingContext plain(EncodingMode::kPlain);
+  r.Canonicalize(&plain);
   return r;
 }
 
 /// scan_skew: the scan fold running directly over the bit-packed key
 /// column (ScanChecksum, bench/scan_checksum.h — vectorized quad unpack, no
-/// materialization) vs the same fold over the plain column.
+/// materialization) vs the same fold over the plain column (FoldColumn).
 /// footprint_skew: the resident-bytes ratio of the same input,
 /// deterministic and floored in CI.
 void BenchScanSkew(std::vector<Row>* rows, size_t n, int reps) {
-  NRel plain;
-  {
-    ScopedEncodingMode off(EncodingMode::kPlain);
-    plain = SkewedRel({0, 1, 2}, n, 53 + n);
-  }
-  NRel enc = plain;
-  {
-    ScopedEncodingMode autom(EncodingMode::kAuto);
-    enc.EncodeColumns();
-  }
+  const NRel plain = SkewedRel({0, 1, 2}, n, 53 + n);
+  const NRel enc = Recode(plain, EncodingMode::kAuto);
   const EncodedColumn* e0 = enc.encoded_col(0);
   TOPOFAQ_CHECK_MSG(e0 != nullptr, "auto policy left the skewed column plain");
   uint64_t enc_acc = 0;
@@ -251,15 +260,14 @@ void BenchScanSkew(std::vector<Row>* rows, size_t n, int reps) {
     enc_acc = total;
   }) / kScanInner;
   uint64_t plain_acc = 0;
+  const Value* c0 = plain.col(0).data();
+  const uint64_t* an = plain.annots().data();
   const double h = TimeMs(reps, [&] {
     uint64_t total = 0;
     for (int it = 0; it < kScanInner; ++it) {
-      uint64_t acc = 0;
-      const Value* c0 = plain.col(0).data();
-      for (size_t i = 0; i < plain.size(); ++i)
-        acc = FoldStep(acc, c0[i], plain.annot(i));
-      total = acc;
-      asm volatile("" ::: "memory");
+      total = FoldColumn(0, c0, 1, an, plain.size());
+      // Uses each fold's result: the calls are otherwise dead but the last.
+      asm volatile("" : : "r"(total) : "memory");
     }
     plain_acc = total;
   }) / kScanInner;
@@ -277,24 +285,17 @@ void BenchScanSkew(std::vector<Row>* rows, size_t n, int reps) {
 /// eliminate_skew / triangle_skew: the hot-path operators on encoded vs
 /// plain inputs — the "encodings never slow the kernel" rows.
 void BenchEliminateSkew(std::vector<Row>* rows, size_t n, int reps) {
-  NRel plain;
-  {
-    ScopedEncodingMode off(EncodingMode::kPlain);
-    plain = SkewedRel({0, 1, 2}, n, 59 + n);
-  }
-  NRel enc = plain;
-  {
-    ScopedEncodingMode autom(EncodingMode::kAuto);
-    enc.EncodeColumns();
-  }
+  const NRel plain = SkewedRel({0, 1, 2}, n, 59 + n);
+  const NRel enc = Recode(plain, EncodingMode::kAuto);
   TOPOFAQ_CHECK_MSG(enc.any_encoded(), "auto policy left the input plain");
   const std::vector<VarId> vars{1, 2};
   const std::vector<VarOp> ops{VarOp::kSemiringSum, VarOp::kSemiringSum};
-  ScopedEncodingMode off(EncodingMode::kPlain);  // time inputs, not outputs
-  auto [k1, kp, out] =
-      TimeKernel(reps, "eliminate_skew",
-                 [&](ExecContext* cx) { return Eliminate(enc, vars, ops, cx); });
-  ExecContext pcx;
+  // Outputs are built plain on every leg: time inputs, not outputs.
+  auto [k1, kp, out] = TimeKernel(
+      reps, "eliminate_skew",
+      [&](ExecContext* cx) { return Eliminate(enc, vars, ops, cx); },
+      EncodingMode::kPlain);
+  EncodingContext pcx(EncodingMode::kPlain);
   pcx.parallelism = 1;
   NRel ref;
   const double h =
@@ -305,28 +306,22 @@ void BenchEliminateSkew(std::vector<Row>* rows, size_t n, int reps) {
 }
 
 void BenchTriangleSkew(std::vector<Row>* rows, size_t n, int reps) {
-  std::vector<NRel> plain;
-  {
-    ScopedEncodingMode off(EncodingMode::kPlain);
-    plain.push_back(SkewedRel({0, 1}, n, 61 + n));
-    plain.push_back(SkewedRel({1, 2}, n, 67 + n));
-    plain.push_back(SkewedRel({0, 2}, n, 73 + n));
-  }
-  std::vector<NRel> enc = plain;
-  {
-    ScopedEncodingMode autom(EncodingMode::kAuto);
-    for (auto& r : enc) r.EncodeColumns();
-  }
+  const std::vector<NRel> plain = {SkewedRel({0, 1}, n, 61 + n),
+                                   SkewedRel({1, 2}, n, 67 + n),
+                                   SkewedRel({0, 2}, n, 73 + n)};
+  std::vector<NRel> enc;
+  for (const NRel& r : plain) enc.push_back(Recode(r, EncodingMode::kAuto));
   size_t resident = 0;
   for (const auto& r : enc) {
     TOPOFAQ_CHECK_MSG(r.any_encoded(), "auto policy left an input plain");
     resident += r.ResidentKeyBytes();
   }
-  ScopedEncodingMode off(EncodingMode::kPlain);  // time inputs, not outputs
-  auto [k1, kp, out] = TimeKernel(reps, "triangle_skew", [&](ExecContext* cx) {
-    return MultiwayJoin(enc, cx);
-  });
-  ExecContext pcx;
+  // Outputs are built plain on every leg: time inputs, not outputs.
+  auto [k1, kp, out] = TimeKernel(
+      reps, "triangle_skew",
+      [&](ExecContext* cx) { return MultiwayJoin(enc, cx); },
+      EncodingMode::kPlain);
+  EncodingContext pcx(EncodingMode::kPlain);
   pcx.parallelism = 1;
   NRel ref;
   const double h = TimeMs(reps, [&] { ref = MultiwayJoin(plain, &pcx); });

@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "faq/query.h"
@@ -115,7 +116,10 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
       if (!inserted) comp[find(static_cast<int>(i))] = find(it->second);
     }
 
-  Relation<S> acc = UnitRelation<S>();
+  // The first component seeds the cross combination and the first member
+  // seeds a pairwise chain; the unit relation is the answer only when there
+  // are no parts at all.
+  std::optional<Relation<S>> acc;
   for (size_t root = 0; root < parts.size(); ++root) {
     if (find(static_cast<int>(root)) != static_cast<int>(root)) continue;
     std::vector<Relation<S>> members;
@@ -126,14 +130,17 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
     if (members.size() >= 3) {
       part = MultiwayJoin(std::move(members), ctx);
     } else {
-      part = UnitRelation<S>();
-      for (Relation<S>& m : members) part = Join(part, m, ctx);
+      part = std::move(members[0]);
+      part.Canonicalize(ctx);  // the certification a join would apply
+      for (size_t i = 1; i < members.size(); ++i)
+        part = Join(part, members[i], ctx);
     }
     std::vector<VarId> bound = VarsOutside(part.schema(), keep);
     part = EliminateAll(std::move(part), std::move(bound), q, ctx);
-    acc = Join(acc, part, ctx);  // disjoint schemas: scalar/cross combination
+    // Disjoint schemas: scalar/cross combination.
+    acc = acc ? Join(*acc, part, ctx) : std::move(part);
   }
-  return acc;
+  return acc ? std::move(*acc) : UnitRelation<S>();
 }
 
 /// One node step of the GHD upward pass (Theorem G.3): ⊗ the operands

@@ -123,11 +123,12 @@ bool RowEquals(const Relation<S>& r, size_t i, std::span<const Value> t) {
 
 /// Erases every base tuple that appears in (canonical) `removes`: binary
 /// search per remove row, zero the annotation, then one Compact() pass
-/// drops the zeroed runs and re-certifies — the set_annot/Compact
-/// re-certification contract exercised as a bulk mutation. Tuples absent
-/// from the base are silently skipped.
+/// drops the zeroed runs and re-certifies (re-encoding under `ctx`'s mode)
+/// — the set_annot/Compact re-certification contract exercised as a bulk
+/// mutation. Tuples absent from the base are silently skipped.
 template <CommutativeSemiring S>
-void EraseMatching(Relation<S>* base, const Relation<S>& removes) {
+void EraseMatching(Relation<S>* base, const Relation<S>& removes,
+                   ExecContext* ctx = nullptr) {
   if (removes.empty() || base->empty()) return;
   const size_t a = base->arity();
   std::vector<Value> row(a);
@@ -138,7 +139,7 @@ void EraseMatching(Relation<S>* base, const Relation<S>& removes) {
     if (lo >= base->size()) break;
     if (ivm_detail::RowEquals(*base, lo, row)) base->set_annot(lo, S::Zero());
   }
-  base->Compact();
+  base->Compact(ctx);
 }
 
 /// ⊕-merges canonical `delta` into canonical `*base` with one splice pass:
@@ -146,7 +147,8 @@ void EraseMatching(Relation<S>* base, const Relation<S>& removes) {
 /// views, collisions fold S::Add(base_annot, delta_annot) — the same
 /// association Canonicalize's run fold (base row id < delta row id) would
 /// produce — and Build()'s compaction drops exact cancellations (GF2,
-/// wrapping Natural). The result re-runs the encoding policy.
+/// wrapping Natural) and re-runs the encoding policy under `ctx`'s mode on
+/// the spliced result.
 template <CommutativeSemiring S>
 void AddInto(Relation<S>* base, const Relation<S>& delta,
              ExecContext* ctx = nullptr) {
@@ -159,13 +161,12 @@ void AddInto(Relation<S>* base, const Relation<S>& delta,
     base->Canonicalize(ctx);
     return;
   }
-  base->Compact();  // canonical in, canonical out
+  base->Compact(ctx);  // canonical in, canonical out
   Relation<S> old = std::move(*base);
   old.DecodeAll();
   const size_t a = old.arity();
   const auto& dcols = delta.columns();  // decoded once; delta is canonical
   RelationBuilder<S> b(old.schema());
-  b.set_encode(false);  // single policy run at the end, on the spliced result
   b.Reserve(old.size() + delta.size());
   std::vector<ColumnView> chunk(a);
   std::vector<Value> row(a);
@@ -195,8 +196,7 @@ void AddInto(Relation<S>* base, const Relation<S>& delta,
                   std::span<const typename S::Value>(
                       old.annots().data() + pos, old.size() - pos));
   }
-  *base = b.Build();
-  base->EncodeColumns();
+  *base = b.Build(ctx);
 }
 
 /// Ring mode only: the annotated relation C with base_after = base_before
@@ -241,7 +241,7 @@ Status ApplyDeltaToRelation(Relation<S>* base, Delta<S> d,
     return Status::InvalidArgument("delta removes schema != base schema");
   if (!d.adds.empty() && !(d.adds.schema() == base->schema()))
     return Status::InvalidArgument("delta adds schema != base schema");
-  EraseMatching(base, d.removes);
+  EraseMatching(base, d.removes, ctx);
   AddInto(base, d.adds, ctx);
   return Status::Ok();
 }

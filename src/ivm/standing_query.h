@@ -62,16 +62,24 @@ class StandingQuery {
 
   /// Plans q through the shared PlanCache (identical keys to
   /// YannakakisSolve — a standing query warms the same plan one-shot
-  /// queries hit) and runs the full pass once. Every validated query has a
-  /// plan, so only validation can fail.
+  /// queries hit), then runs CreateOn over that plan. Every validated query
+  /// has a plan, so only validation can fail.
   static Result<StandingQuery> Create(FaqQuery<S> q,
                                       ExecContext* ctx = nullptr) {
     TOPOFAQ_RETURN_IF_ERROR(q.Validate());
+    const auto plan = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
+    return CreateOn(std::move(q), plan.value().decomposition, ctx);
+  }
+
+  /// Runs the full pass once over a supplied decomposition of q's
+  /// hypergraph: Create without the plan lookup, as YannakakisSolveOn is
+  /// YannakakisSolve without it (Engine::Subscribe passes the plan its
+  /// admission already looked up).
+  static Result<StandingQuery> CreateOn(FaqQuery<S> q, const GyoGhd& gg,
+                                        ExecContext* ctx = nullptr) {
+    TOPOFAQ_RETURN_IF_ERROR(q.Validate());
     StandingQuery sq;
-    sq.gg_ = PlanCache::Shared()
-                 .PlanFor(q.hypergraph, q.free_vars)
-                 .value()
-                 .decomposition;
+    sq.gg_ = gg;
     sq.q_ = std::move(q);
     const Ghd& ghd = sq.gg_.ghd;
     sq.node_of_relation_.assign(sq.q_.relations.size(), -1);
@@ -137,7 +145,7 @@ class StandingQuery {
         // Net change first (it reads the pre-delta annotations), then the
         // shared base update, then push the change up the root path.
         Relation<S> change = NetChange(base, d.removes, d.adds, ctx);
-        EraseMatching(&base, d.removes);
+        EraseMatching(&base, d.removes, ctx);
         AddInto(&base, d.adds, ctx);
         ++stats_.ring_deltas;
         if (change.empty()) return Status::Ok();
@@ -145,7 +153,7 @@ class StandingQuery {
         return Status::Ok();
       }
     }
-    EraseMatching(&base, d.removes);
+    EraseMatching(&base, d.removes, ctx);
     AddInto(&base, d.adds, ctx);
     ++stats_.recompute_deltas;
     std::vector<char> dirty(msgs_.size(), 0);

@@ -114,14 +114,15 @@ struct RelationPage {
 /// The transport. Owns every node's AsyncNetwork handler (protocol adapters
 /// interact through SendRelation completions and ScheduleAfter, never raw
 /// packets). One StreamNet per simulation; all streams of a run share its
-/// ledger.
+/// ledger. Sinks rebuild relations under `ctx`'s encoding mode (the
+/// thread-local default context's for nullptr); `ctx` is borrowed.
 template <CommutativeSemiring S>
 class StreamNet {
  public:
   using Completion = std::function<void(Relation<S>)>;
 
-  StreamNet(AsyncNetwork* net, StreamOptions opts)
-      : net_(net), opts_(opts), ledger_(net->graph().num_nodes()) {
+  StreamNet(AsyncNetwork* net, StreamOptions opts, ExecContext* ctx = nullptr)
+      : net_(net), opts_(opts), ctx_(ctx), ledger_(net->graph().num_nodes()) {
     TOPOFAQ_CHECK_MSG(opts_.page_rows >= 1, "page_rows must be >= 1");
     TOPOFAQ_CHECK_MSG(opts_.node_page_budget >= 1, "page budget must be >= 1");
     for (NodeId v = 0; v < net_->graph().num_nodes(); ++v)
@@ -321,7 +322,7 @@ class StreamNet {
     net_->Send(at, route[p.hop - 1], std::move(credit));
 
     if (last) {
-      Relation<S> out = sink.builder.Build();
+      Relation<S> out = sink.builder.Build(ctx_);
       Completion done = std::move(sink.done);
       sinks_.erase(it);
       sources_.erase(p.stream);
@@ -332,6 +333,7 @@ class StreamNet {
 
   AsyncNetwork* net_;
   StreamOptions opts_;
+  ExecContext* ctx_;
   InFlightLedger ledger_;
   uint64_t next_stream_ = 0;
   int64_t payload_bits_encoded_ = 0;

@@ -84,10 +84,10 @@ class EventClock {
   }
 
   EventClock(const DistInstance<S>& inst, const DistDerived& d,
-             const AsyncProtocolOptions& opts)
+             ExecContext* ctx, const AsyncProtocolOptions& opts)
       : net_(inst.topology,
              LinkParams{1.0, static_cast<double>(d.capacity_bits)}),
-        streams_(&net_, opts.stream),
+        streams_(&net_, opts.stream, ctx),
         bits_per_attr_(d.bits_per_attr),
         trace_(opts.trace) {
     if (trace_ != nullptr) {
@@ -216,18 +216,20 @@ class EventClock {
 /// under the page budget, then solves over the reassembled inputs.
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunTrivialProtocolAsync(
-    const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {}) {
+    const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {},
+    ExecContext* ctx = nullptr) {
   return internal::RunSchedule<EventClock<S>>(inst, /*core_forest=*/false,
-                                              opts.parallelism, opts);
+                                              opts.parallelism, ctx, opts);
 }
 
 /// The Theorem 4.1 / 5.2 protocol as an event-driven star DAG, with
 /// streaming transfers, per-node page budgets, and makespan accounting.
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunCoreForestProtocolAsync(
-    const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {}) {
+    const DistInstance<S>& inst, const AsyncProtocolOptions& opts = {},
+    ExecContext* ctx = nullptr) {
   return internal::RunSchedule<EventClock<S>>(inst, /*core_forest=*/true,
-                                              opts.parallelism, opts);
+                                              opts.parallelism, ctx, opts);
 }
 
 }  // namespace topofaq

@@ -60,7 +60,8 @@ class LedgerClock {
     return SyncNetwork::ValidateCapacity(d.capacity_bits);
   }
 
-  LedgerClock(const DistInstance<S>& inst, const DistDerived& d)
+  LedgerClock(const DistInstance<S>& inst, const DistDerived& d,
+              ExecContext* /*ctx*/)
       : net_(inst.topology, d.capacity_bits), bits_per_attr_(d.bits_per_attr) {}
 
   void Compute(const char*, NodeId, size_t, std::function<void()> fn) {
@@ -149,18 +150,20 @@ class LedgerClock {
 /// Lemma 3.1: gather all relations at the sink, solve centrally.
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunTrivialProtocol(const DistInstance<S>& inst,
-                                             const TrivialOptions& opts = {}) {
+                                             const TrivialOptions& opts = {},
+                                             ExecContext* ctx = nullptr) {
   return internal::RunSchedule<LedgerClock<S>>(inst, /*core_forest=*/false,
-                                               opts.parallelism);
+                                               opts.parallelism, ctx);
 }
 
 /// The Theorem 4.1 / 5.2 protocol. Works for any assignment of relations to
 /// players; requires F ⊆ V(C(H)) (Appendix G.5).
 template <CommutativeSemiring S>
 Result<ProtocolResult<S>> RunCoreForestProtocol(
-    const DistInstance<S>& inst, const CoreForestOptions& opts = {}) {
+    const DistInstance<S>& inst, const CoreForestOptions& opts = {},
+    ExecContext* ctx = nullptr) {
   return internal::RunSchedule<LedgerClock<S>>(inst, /*core_forest=*/true,
-                                               opts.parallelism);
+                                               opts.parallelism, ctx);
 }
 
 /// BCQ wrapper: runs the structured protocol, answer is satisfiability.

@@ -283,9 +283,13 @@ class Schedule {
 
 /// Runs one protocol on `Clock`: validates the instance, builds the
 /// decomposition (core forest only) and the clock, and collects the stats.
+/// Every local computation, and every relation the clock reassembles, runs
+/// on one private context with `ctx`'s parallelism and modes (defaults for
+/// nullptr; `parallelism` > 0 overrides), so stats.kernel counts this run.
 template <class Clock, CommutativeSemiring S, class... ClockArgs>
 Result<ProtocolResult<S>> RunSchedule(const DistInstance<S>& inst,
                                       bool core_forest, int parallelism,
+                                      ExecContext* ctx,
                                       const ClockArgs&... clock_args) {
   auto d = inst.Derived();
   if (!d.ok()) return d.status();
@@ -296,18 +300,20 @@ Result<ProtocolResult<S>> RunSchedule(const DistInstance<S>& inst,
     if (!r.ok()) return r.status();
     w = std::move(r.value());
   }
-  Clock clock(inst, *d, clock_args...);
-  // One execution context for every local computation the protocol
-  // simulates: scratch is reused across steps, and with parallelism > 1
-  // every join and elimination fans out into morsels.
-  ExecContext ctx;
-  if (parallelism > 0) ctx.parallelism = parallelism;
-  Schedule<S, Clock> schedule(inst, &clock, &ctx);
+  ExecContext run;
+  if (ctx != nullptr) {
+    run.parallelism = ctx->parallelism;
+    run.encoding = ctx->encoding;
+    run.simd = ctx->simd;
+  }
+  if (parallelism > 0) run.parallelism = parallelism;
+  Clock clock(inst, *d, &run, clock_args...);
+  Schedule<S, Clock> schedule(inst, &clock, &run);
   ProtocolResult<S> out;
   out.answer = w ? schedule.CoreForest(w->decomposition.ghd)
                  : schedule.Trivial();
   clock.Fill(&out.stats);
-  out.stats.kernel = ctx.Totals();
+  out.stats.kernel = run.Totals();
   return out;
 }
 

@@ -1,20 +1,11 @@
 #include "relation/encoding.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 namespace topofaq {
 
 namespace {
-
-// DefaultEncodingMode() is defined in server/options.cc: every environment
-// knob (TOPOFAQ_ENCODING included) is read and parsed in that one file.
-
-std::atomic<EncodingMode>& ModeSlot() {
-  static std::atomic<EncodingMode> mode{DefaultEncodingMode()};
-  return mode;
-}
 
 /// Packs one column of codes produced by `code(v)`.
 template <typename CodeFn>
@@ -51,14 +42,6 @@ std::vector<Value> DistinctValues(std::span<const Value> col,
 }
 
 }  // namespace
-
-EncodingMode GlobalEncodingMode() {
-  return ModeSlot().load(std::memory_order_relaxed);
-}
-
-void SetGlobalEncodingMode(EncodingMode mode) {
-  ModeSlot().store(mode, std::memory_order_relaxed);
-}
 
 EncodedColumn EncodedColumn::For(std::span<const Value> col, Value min,
                                  Value max) {

@@ -58,28 +58,9 @@ enum class ColumnEncoding : uint8_t { kPlain = 0, kDict = 1, kFor = 2 };
 enum class EncodingMode : uint8_t { kAuto = 0, kPlain = 1, kForceDict = 2, kForceFor = 3 };
 
 /// The TOPOFAQ_ENCODING default ("auto" | "plain"/"off" | "dict" | "for"),
-/// resolved once. Defined in server/options.cc — the one file that reads
-/// environment knobs (EngineOptions::FromEnv).
+/// resolved once: the ExecContext::encoding fresh contexts start at. Defined
+/// in server/options.cc, the one file that reads environment knobs.
 EncodingMode DefaultEncodingMode();
-
-/// Process-global encoding mode. Starts at DefaultEncodingMode(); tests may
-/// override it.
-EncodingMode GlobalEncodingMode();
-void SetGlobalEncodingMode(EncodingMode mode);
-
-/// RAII test helper: force a mode for one scope, restore on exit.
-class ScopedEncodingMode {
- public:
-  explicit ScopedEncodingMode(EncodingMode mode) : prev_(GlobalEncodingMode()) {
-    SetGlobalEncodingMode(mode);
-  }
-  ~ScopedEncodingMode() { SetGlobalEncodingMode(prev_); }
-  ScopedEncodingMode(const ScopedEncodingMode&) = delete;
-  ScopedEncodingMode& operator=(const ScopedEncodingMode&) = delete;
-
- private:
-  EncodingMode prev_;
-};
 
 // ---------------------------------------------------------------------------
 // Bit-packing primitives (the word-at-a-time unpack seam).

@@ -2,8 +2,8 @@
 
 #include "obs/op_format.h"
 
-// DefaultParallelism() is defined in server/options.cc: every environment
-// knob (TOPOFAQ_PARALLELISM included) is read and parsed in that one file.
+// The Default*() values a fresh context starts at are defined in
+// server/options.cc, the one file that reads environment knobs.
 
 namespace topofaq {
 
@@ -27,14 +27,16 @@ ExecContext& ExecContext::WorkerContext(int i) {
     ctx->parallelism = 1;  // workers never fan out again
     workers_.push_back(std::move(ctx));
   }
-  // Workers observe the owner's current cancel token and trace session
-  // (either may be installed after the arena was first materialized, or
-  // swapped between queries when an engine reuses a context). Worker i's
+  // Workers observe the owner's current cancel token, modes and trace
+  // session (any may be installed after the arena was first materialized,
+  // or swapped between queries when an engine reuses a context). Worker i's
   // spans get their own per-thread track, registered once per session; the
   // fork/join contract (worker i touched only by one thread per region)
   // makes this lazy registration race-free.
   ExecContext& w = *workers_[static_cast<size_t>(i)];
   w.cancel = cancel;
+  w.encoding = encoding;
+  w.simd = simd;
   if (w.trace != trace || w.trace_epoch != trace_epoch) {
     w.trace = trace;
     w.trace_epoch = trace_epoch;

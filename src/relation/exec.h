@@ -1,7 +1,7 @@
 // Execution context for the sorted-relation kernel (see docs/kernel.md).
 //
 // Every relational operator (Join / Eliminate / MultiwayJoin) threads an
-// ExecContext through its hot loop. The context serves three purposes:
+// ExecContext through its hot loop. The context serves four purposes:
 //
 //  1. Scratch reuse: operators borrow the context's row/permutation buffers
 //     instead of allocating per call, so a message-passing pass over a GHD
@@ -18,6 +18,9 @@
 //     means the one-worker morsel run: the whole traversal emitted on this
 //     context. Parallel operators borrow per-worker child contexts from the
 //     arena below and roll their OpStats back into this context's totals.
+//  4. Modes: `encoding` and `simd` are request state, not process state —
+//     two engines in one process run their queries under their own modes.
+//     Neither changes an operator's answer, only storage or kernel body.
 //
 // Callers that don't care pass nullptr; operators then fall back to a
 // thread-local default context (still reusing scratch across calls).
@@ -51,6 +54,11 @@ namespace topofaq {
 /// file that reads environment knobs (EngineOptions::FromEnv).
 int DefaultParallelism();
 
+/// The TOPOFAQ_SIMD default ("on"/"auto"/unset = vector kernels allowed,
+/// "off"/"0" = forced scalar), resolved once; fresh ExecContexts start at
+/// it. Defined in server/options.cc, like DefaultParallelism().
+bool DefaultSimdEnabled();
+
 /// Counters for one operator family. All counts are cumulative since the
 /// last ResetStats().
 struct OpStats {
@@ -79,11 +87,11 @@ struct OpStats {
   /// with max, not sum, so rollups stay a high-water mark.
   int64_t peak_rows = 0;
   /// Vector blocks retired by the SIMD kernels (relation/simd.h): frontier
-  /// intersection blocks, merge-advance probes, window decodes. 0 when
-  /// TOPOFAQ_SIMD=off or the host lacks AVX2.
+  /// intersection blocks, merge-advance probes, window decodes. 0 when the
+  /// context's `simd` switch is off or the host lacks AVX2.
   int64_t simd_blocks = 0;
   /// Hot-loop iterations that were eligible for a vector kernel but ran the
-  /// scalar body instead (toggle off, no AVX2, or an ineligible column
+  /// scalar body instead (switch off, no AVX2, or an ineligible column
   /// shape — e.g. a permuted or encoded merge side).
   int64_t scalar_fallbacks = 0;
 
@@ -114,6 +122,14 @@ class ExecContext {
   /// no morsels; values > 1 let large inputs fan out into key-aligned
   /// morsels. Operator results are bit-identical for every setting.
   int parallelism = DefaultParallelism();
+
+  /// Encoding policy of every relation canonicalized or built through this
+  /// context (Relation::Canonicalize / EncodeColumns / ConcatPieces,
+  /// RelationBuilder::Build). Starts at DefaultEncodingMode().
+  EncodingMode encoding = DefaultEncodingMode();
+  /// Whether operators on this context may run the vector kernel bodies
+  /// (relation/simd.h); they also need an AVX2 host (simd::Available).
+  bool simd = DefaultSimdEnabled();
 
   /// Cooperative cancellation seam (server/engine.h): when non-null and set,
   /// the query that owns this context has been cancelled. The parallel
@@ -190,9 +206,9 @@ class ExecContext {
 
   /// The i-th worker's child context, created on first use and reused across
   /// operator calls. Worker contexts always have parallelism == 1 (no nested
-  /// fan-out) and inherit this context's cancel token; parallel operators
-  /// hand context i exclusively to worker i for the duration of one
-  /// fork/join region and roll its stats up afterwards.
+  /// fan-out) and inherit this context's cancel token and modes; parallel
+  /// operators hand context i exclusively to worker i for the duration of
+  /// one fork/join region and roll its stats up afterwards.
   ExecContext& WorkerContext(int i);
 
   /// Sum of all operator counters (the protocol-level rollup).

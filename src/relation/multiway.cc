@@ -30,9 +30,10 @@ namespace {
 ///     (plain columns only — packed probes land inside at most two words,
 ///     already covered by the loader), overlapping each dependent probe's
 ///     miss with the next. When the bracket has shrunk to a small window
-///     over a raw Value array (`raw` non-null), the remaining dependent
-///     probes are replaced by one simd::LowerBoundU64 sweep — independent
-///     4-lane compares over memory the search already pulled near cache.
+///     over a raw Value array (`raw` non-null: a plain column, vector
+///     kernels on), the remaining dependent probes are replaced by one
+///     simd::LowerBoundU64 sweep — independent 4-lane compares over memory
+///     the search already pulled near cache.
 template <typename Load, typename Prefetch>
 size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
               const Value* raw, int64_t* blocks, size_t lo, size_t hi,
@@ -85,13 +86,13 @@ size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
   }
   // Binary search in (prev, cur]; cur == hi means nothing is known past.
   constexpr size_t kSimdCloseSpan = 128;
-  const bool vec = raw != nullptr && simd::Available();
   size_t a = prev + 1;
   size_t b = cur;
   while (a < b) {
-    if (vec && b - a <= kSimdCloseSpan) {
+    if (raw != nullptr && b - a <= kSimdCloseSpan) {
       ++probes;
-      return simd::LowerBoundU64(raw, a, b, key, strict, blocks);
+      return simd::LowerBoundU64(/*vec=*/true, raw, a, b, key, strict,
+                                 blocks);
     }
     const size_t mid = a + (b - a) / 2;
     prefetch(a + (mid - a) / 2, mid + 1 + (b - mid) / 2);
@@ -106,7 +107,8 @@ size_t Gallop(Load load, Prefetch prefetch, const Value* samp,
 }
 
 size_t GallopPlain(const Value* col, const Value* samp, size_t lo, size_t hi,
-                   Value key, bool strict, int64_t* cmps, int64_t* blocks) {
+                   Value key, bool strict, bool vec, int64_t* cmps,
+                   int64_t* blocks) {
   return Gallop(
       [col](size_t i) { return col[i]; },
       [col](size_t m1, size_t m2) {
@@ -121,19 +123,21 @@ size_t GallopPlain(const Value* col, const Value* samp, size_t lo, size_t hi,
         (void)m2;
 #endif
       },
-      samp, col, blocks, lo, hi, key, strict, cmps);
+      samp, vec ? col : nullptr, blocks, lo, hi, key, strict, cmps);
 }
 
 }  // namespace
 
 size_t TrieSeek(const Value* col, const Value* samp, size_t lo, size_t hi,
-                Value key, int64_t* cmps, int64_t* blocks) {
-  return GallopPlain(col, samp, lo, hi, key, /*strict=*/false, cmps, blocks);
+                Value key, bool vec, int64_t* cmps, int64_t* blocks) {
+  return GallopPlain(col, samp, lo, hi, key, /*strict=*/false, vec, cmps,
+                     blocks);
 }
 
 size_t TrieRunEnd(const Value* col, const Value* samp, size_t lo, size_t hi,
-                  Value key, int64_t* cmps, int64_t* blocks) {
-  return GallopPlain(col, samp, lo, hi, key, /*strict=*/true, cmps, blocks);
+                  Value key, bool vec, int64_t* cmps, int64_t* blocks) {
+  return GallopPlain(col, samp, lo, hi, key, /*strict=*/true, vec, cmps,
+                     blocks);
 }
 
 size_t TrieSeekPacked(const uint64_t* words, int width, const Value* samp,

@@ -64,16 +64,17 @@ inline constexpr size_t kShortSeekLimit = 128;
 /// First position in [lo, hi) of the contiguous column array `col` whose
 /// value is >= key (galloping search; probes are counted into *cmps).
 /// `samp` is the column's seek sample, or nullptr for unsampled columns.
-/// When the vector kernels are on, the descent finishes with one
-/// simd::LowerBoundU64 sweep over the final window; its vector iterations
-/// are counted into *blocks (nullable).
+/// When `vec` (the caller's simd::Available decision), the descent finishes
+/// with one simd::LowerBoundU64 sweep over the final window; its vector
+/// iterations are counted into *blocks (nullable).
 size_t TrieSeek(const Value* col, const Value* samp, size_t lo, size_t hi,
-                Value key, int64_t* cmps, int64_t* blocks = nullptr);
+                Value key, bool vec, int64_t* cmps, int64_t* blocks = nullptr);
 
 /// First position in [lo, hi) of `col` whose value is > key: the end of the
 /// key's run when [lo, hi) is positioned at it.
 size_t TrieRunEnd(const Value* col, const Value* samp, size_t lo, size_t hi,
-                  Value key, int64_t* cmps, int64_t* blocks = nullptr);
+                  Value key, bool vec, int64_t* cmps,
+                  int64_t* blocks = nullptr);
 
 /// The packed-column gallop: first position in [lo, hi) of the bit-packed
 /// code buffer `words` (codes of `width` bits) whose code is >= `code`.
@@ -203,8 +204,8 @@ class MultiwayWalker {
   using SemiringValue = typename S::Value;
 
   MultiwayWalker(const MultiwayPlan<S>& plan, RelationBuilder<S>* out,
-                 OpStats* st)
-      : plan_(plan), out_(out), st_(st) {
+                 OpStats* st, bool vec)
+      : plan_(plan), out_(out), st_(st), vec_(vec) {
     const size_t levels = plan.vars.size();
     its_.resize(levels);
     for (size_t l = 0; l < levels; ++l) {
@@ -356,7 +357,7 @@ class MultiwayWalker {
       ++st_->comparisons;
       if (key > UINT32_MAX) return it.hi;
       return it.dec32_lo +
-             simd::LowerBoundU32(it.dec32, it.lo - it.dec32_lo,
+             simd::LowerBoundU32(vec_, it.dec32, it.lo - it.dec32_lo,
                                  it.hi - it.dec32_lo,
                                  static_cast<uint32_t>(key),
                                  /*strict=*/false, &st_->simd_blocks);
@@ -365,8 +366,8 @@ class MultiwayWalker {
       // Materialized window: value-space gallop over the decoded scratch
       // (window <= kDecodeWindow rows, so no sample is ever warranted).
       return it.dec_lo + TrieSeek(it.dec, nullptr, it.lo - it.dec_lo,
-                                  it.hi - it.dec_lo, key, &st_->comparisons,
-                                  &st_->simd_blocks);
+                                  it.hi - it.dec_lo, key, vec_,
+                                  &st_->comparisons, &st_->simd_blocks);
     }
     if (it.enc != nullptr) {
       const uint64_t target = it.enc->LowerCode(key);
@@ -386,7 +387,7 @@ class MultiwayWalker {
       const size_t g = it.dir[static_cast<size_t>(key)];
       return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
     }
-    return TrieSeek(it.c, it.samp, it.lo, it.hi, key, &st_->comparisons,
+    return TrieSeek(it.c, it.samp, it.lo, it.hi, key, vec_, &st_->comparisons,
                     &st_->simd_blocks);
   }
 
@@ -401,15 +402,15 @@ class MultiwayWalker {
       ++st_->comparisons;
       if (key > UINT32_MAX) return it.hi;
       return it.dec32_lo +
-             simd::LowerBoundU32(it.dec32, it.lo - it.dec32_lo,
+             simd::LowerBoundU32(vec_, it.dec32, it.lo - it.dec32_lo,
                                  it.hi - it.dec32_lo,
                                  static_cast<uint32_t>(key),
                                  /*strict=*/true, &st_->simd_blocks);
     }
     if (it.dec != nullptr) {
       return it.dec_lo + TrieRunEnd(it.dec, nullptr, it.lo - it.dec_lo,
-                                    it.hi - it.dec_lo, key, &st_->comparisons,
-                                    &st_->simd_blocks);
+                                    it.hi - it.dec_lo, key, vec_,
+                                    &st_->comparisons, &st_->simd_blocks);
     }
     if (it.enc != nullptr) {
       uint64_t target;
@@ -437,8 +438,8 @@ class MultiwayWalker {
       const size_t g = it.dir[static_cast<size_t>(key) + 1];
       return g <= it.lo ? it.lo : (g >= it.hi ? it.hi : g);
     }
-    return TrieRunEnd(it.c, it.samp, it.lo, it.hi, key, &st_->comparisons,
-                      &st_->simd_blocks);
+    return TrieRunEnd(it.c, it.samp, it.lo, it.hi, key, vec_,
+                      &st_->comparisons, &st_->simd_blocks);
   }
 
   void Level(size_t l, SemiringValue acc) {
@@ -450,10 +451,10 @@ class MultiwayWalker {
       it.lo = a;
       it.hi = b;
       if (it.enc != nullptr && b - a <= kDecodeWindow) {
-        if (it.use32 && simd::Available()) {
+        if (it.use32 && vec_) {
           if (it.dec32_lo != a || it.dec32_hi != b) {
             it.scratch32.resize(b - a);
-            simd::DecodeWindowU32(*it.enc, a, b, it.scratch32.data(),
+            simd::DecodeWindowU32(vec_, *it.enc, a, b, it.scratch32.data(),
                                   &st_->simd_blocks);
             it.dec32_lo = a;
             it.dec32_hi = b;
@@ -463,7 +464,7 @@ class MultiwayWalker {
         } else {
           if (it.dec_lo != a || it.dec_hi != b) {
             it.scratch.resize(b - a);
-            simd::DecodeWindowU64(*it.enc, a, b, it.scratch.data(),
+            simd::DecodeWindowU64(vec_, *it.enc, a, b, it.scratch.data(),
                                   &st_->simd_blocks);
             it.dec_lo = a;
             it.dec_hi = b;
@@ -507,12 +508,12 @@ class MultiwayWalker {
         const uint32_t* n1 = i1.dec32;
         const Value* a0 = i0.c != nullptr ? i0.c : i0.dec;
         const Value* a1 = i1.c != nullptr ? i1.c : i1.dec;
-        if (simd::Available() && n0 != nullptr && n1 != nullptr) {
+        if (vec_ && n0 != nullptr && n1 != nullptr) {
           const size_t off0 = i0.dec32_lo;
           const size_t off1 = i1.dec32_lo;
           while (true) {
             const simd::Frontier f = simd::NextMatchU32(
-                n0, i0.lo - off0, i0.hi - off0, n1, i1.lo - off1,
+                vec_, n0, i0.lo - off0, i0.hi - off0, n1, i1.lo - off1,
                 i1.hi - off1, kFrontierBlockCap, &st_->simd_blocks);
             ++st_->seeks;
             ++st_->comparisons;
@@ -531,12 +532,12 @@ class MultiwayWalker {
               if (i1.lo == i1.hi) return;
             }
           }
-        } else if (simd::Available() && a0 != nullptr && a1 != nullptr) {
+        } else if (vec_ && a0 != nullptr && a1 != nullptr) {
           const size_t off0 = i0.c != nullptr ? 0 : i0.dec_lo;
           const size_t off1 = i1.c != nullptr ? 0 : i1.dec_lo;
           while (true) {
             const simd::Frontier f = simd::NextMatchU64(
-                a0, i0.lo - off0, i0.hi - off0, a1, i1.lo - off1,
+                vec_, a0, i0.lo - off0, i0.hi - off0, a1, i1.lo - off1,
                 i1.hi - off1, kFrontierBlockCap, &st_->simd_blocks);
             ++st_->seeks;
             ++st_->comparisons;
@@ -556,7 +557,7 @@ class MultiwayWalker {
             }
           }
         } else {
-          if (simd::Available()) ++st_->scalar_fallbacks;
+          if (vec_) ++st_->scalar_fallbacks;
           Value k0 = Key(i0);
           Value k1 = Key(i1);
           while (k0 != k1) {
@@ -627,6 +628,7 @@ class MultiwayWalker {
   const MultiwayPlan<S>& plan_;
   RelationBuilder<S>* out_;
   OpStats* st_;
+  const bool vec_;  // simd::Available(ctx.simd) of the emitting context
   std::vector<std::vector<Iter>> its_;             // per level
   std::vector<std::vector<std::pair<size_t, size_t>>> rng_;  // per rel/depth
   std::vector<Value> row_;
@@ -651,7 +653,7 @@ Relation<S> MultiwayJoinImpl(std::vector<Relation<S>> inputs,
   for (Relation<S>& r : inputs) {
     if (r.arity() == 0) {
       // Zero-ary input: a scalar factor (at most one nonzero empty tuple).
-      r.Canonicalize();
+      r.Canonicalize(&cx);
       if (r.empty())
         scalar_zero = true;
       else
@@ -673,7 +675,7 @@ Relation<S> MultiwayJoinImpl(std::vector<Relation<S>> inputs,
     // Every input was zero-ary: the answer is the combined scalar.
     Relation<S> out{out_schema};
     if (!scalar_zero) out.Add(std::initializer_list<Value>{}, scalar);
-    out.Canonicalize();
+    out.Canonicalize(&cx);
     st.rows_out += static_cast<int64_t>(out.size());
     return out;
   }
@@ -721,7 +723,8 @@ Relation<S> MultiwayJoinImpl(std::vector<Relation<S>> inputs,
       cx, PlannedWorkers(cx, max_rows), std::move(out_schema), cn,
       [&](size_t t) { return !cd.EqualAt(t, t - 1); }, &ExecContext::multiway,
       [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
-        internal::MultiwayWalker<S> walk(plan, b, &wc.multiway);
+        internal::MultiwayWalker<S> walk(plan, b, &wc.multiway,
+                                         simd::Available(wc.simd));
         const bool bounded_hi = xe < cn;
         walk.Run(scalar, xb > 0 ? cd.At(xb) : 0, bounded_hi ? cd.At(xe) : 0,
                  bounded_hi);

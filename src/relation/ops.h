@@ -381,7 +381,8 @@ inline const Value* RawMergeColumn(const ColView& v) {
 /// key-aligned morsels can replay disjoint slices of it on workers. `lall`
 /// is every left column (output assembly — rows decode here, at emission),
 /// `lk`/`rk` the key views, `rex` the right extra columns. `dir` must be
-/// populated when !lmono and rn > 0.
+/// populated when !lmono and rn > 0. `wc` is the emitting context: its row
+/// buffer, its join counters and its SIMD switch.
 ///
 /// The monotone merge's advance + run scan — a single plain key column in
 /// traversal order — runs through simd::AdvanceU64 (4 key lanes per probe,
@@ -394,17 +395,18 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
                    const typename A::Col* rex, size_t nex, const size_t* lpm,
                    const size_t* rpm, bool lmono, const RunDirectory& dir,
                    size_t xb, size_t xe, RelationBuilder<S>* b,
-                   std::vector<Value>* rowbuf, OpStats* st) {
+                   ExecContext& wc) {
   const size_t la = left.arity();
   const size_t rn = right.size();
   if (xb >= xe || rn == 0) return;
+  OpStats* const st = &wc.join;
   int64_t* const cmps = &st->comparisons;
-  std::vector<Value>& row = *rowbuf;
+  std::vector<Value>& row = wc.row;
   row.resize(la + nex);
 
   const Value* rk0 =
       (nk == 1 && rpm == nullptr) ? RawMergeColumn(rk[0]) : nullptr;
-  const bool vec = rk0 != nullptr && simd::Available();
+  const bool vec = rk0 != nullptr && simd::Available(wc.simd);
   if (lmono && nk == 1 && rpm == nullptr && !vec) ++st->scalar_fallbacks;
 
   // Monotone morsels entering mid-merge find their right-side start by one
@@ -433,10 +435,10 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
       if (lmono) {
         if (vec) {
           const Value key = A::At(lk[0], x);
-          lo = simd::AdvanceU64(rk0, j, rn, key, /*strict=*/false,
+          lo = simd::AdvanceU64(vec, rk0, j, rn, key, /*strict=*/false,
                                 &st->simd_blocks);
           *cmps += static_cast<int64_t>(lo - j);
-          hi = simd::AdvanceU64(rk0, lo, rn, key, /*strict=*/true,
+          hi = simd::AdvanceU64(vec, rk0, lo, rn, key, /*strict=*/true,
                                 &st->simd_blocks);
           *cmps += static_cast<int64_t>(hi - lo) + 1;
           j = hi;
@@ -806,7 +808,7 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
       [&](ExecContext& wc, size_t xb, size_t xe, RelationBuilder<S>* b) {
         b->Reserve(xe - xb);
         JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm,
-                         lmono, dir, xb, xe, b, &wc.row, &wc.join);
+                         lmono, dir, xb, xe, b, wc);
       });
   st.rows_out += static_cast<int64_t>(out.size());
   return out;

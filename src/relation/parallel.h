@@ -192,7 +192,7 @@ Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
   if (workers <= 1) {
     RelationBuilder<S> b{std::move(schema)};
     emit(cx, size_t{0}, n, &b);
-    return b.Build();
+    return b.Build(&cx);
   }
   std::vector<size_t> cuts =
       KeyAlignedCuts(n, static_cast<size_t>(workers) * kMorselsPerWorker,
@@ -238,8 +238,8 @@ Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
   }
   std::vector<Relation<S>> pieces;
   pieces.reserve(m);
-  for (auto& b : builders) pieces.push_back(b.Build());
-  return Relation<S>::ConcatPieces(std::move(schema), std::move(pieces));
+  for (auto& b : builders) pieces.push_back(b.Build(&cx));
+  return Relation<S>::ConcatPieces(std::move(schema), std::move(pieces), &cx);
 }
 
 }  // namespace topofaq

@@ -1,7 +1,8 @@
 // Out-of-line pieces of the columnar relation storage (relation.h) that need
 // the kernel seams: the canonicalization permutation sort is routed through
-// the WorkerPool (parallel.h) when the ambient ExecContext allows, which
-// relation.h itself must not include.
+// the WorkerPool (parallel.h) when the ambient ExecContext allows, and the
+// encoding mode is read off that context — exec.h and parallel.h are
+// headers relation.h itself must not include.
 #include "relation/relation.h"
 
 #include "relation/exec.h"
@@ -32,6 +33,10 @@ void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
   };
   ExecContext& cx = ExecContext::Resolve(ctx);
   ParallelSortPerm(perm, PlannedWorkers(cx, rows), less);
+}
+
+EncodingMode EncodingModeOf(ExecContext* ctx) {
+  return ExecContext::Resolve(ctx).encoding;
 }
 
 }  // namespace detail

@@ -145,6 +145,9 @@ void CompactSortedColumns(std::vector<std::vector<Value>>* cols,
 void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
                  std::vector<size_t>* perm, ExecContext* ctx);
 
+/// ExecContext::Resolve(ctx).encoding. Defined in relation.cc.
+EncodingMode EncodingModeOf(ExecContext* ctx);
+
 }  // namespace detail
 
 /// A relation annotated with values from semiring S. Column-major: column j
@@ -293,18 +296,19 @@ class Relation {
 
   /// Re-certifies a relation whose only invariant violations are
   /// zero-valued annotations (the set_annot wart): drops those rows in one
-  /// compaction pass and restores the canonical flag. Falls back to a full
-  /// Canonicalize() when row order/distinctness is not certified.
-  void Compact() {
+  /// compaction pass and restores the canonical flag, re-encoding under
+  /// `ctx`'s mode. Falls back to a full Canonicalize() when row
+  /// order/distinctness is not certified.
+  void Compact(ExecContext* ctx = nullptr) {
     if (canonical_) return;
     if (!sorted_distinct_) {
-      Canonicalize();
+      Canonicalize(ctx);
       return;
     }
     DecodeAll();
     detail::CompactSortedColumns<S>(&cols_, &annots_);
     canonical_ = true;
-    EncodeColumns();
+    EncodeColumns(ctx);
   }
 
   /// Appends (t, v). Zero-annotated tuples are dropped (listing rep stores
@@ -331,6 +335,7 @@ class Relation {
   /// sort (parallel on the WorkerPool when `ctx` — or the thread-local
   /// ambient context for nullptr — allows, see detail::SortRowPerm), then
   /// one gather pass per column; rows are never copied through a row buffer.
+  /// The columns are then encoded under the same context's mode.
   void Canonicalize(ExecContext* ctx = nullptr) {
     if (canonical_) return;
     DecodeAll();  // non-canonical relations are plain; enforce defensively
@@ -385,19 +390,20 @@ class Relation {
     annots_ = std::move(na);
     canonical_ = true;
     sorted_distinct_ = true;
-    EncodeColumnsWithStats(stats);
+    EncodeColumnsWithStats(stats, ctx);
   }
 
-  /// Applies the encode-on-canonicalize policy to a canonical, currently
+  /// Applies the encode-on-canonicalize policy, under `ctx`'s mode (the
+  /// thread-local default context's for nullptr), to a canonical, currently
   /// plain relation (no-op otherwise). Exposed so Build()/ConcatPieces —
   /// which certify canonical without running Canonicalize — and tests can
   /// trigger the same policy.
-  void EncodeColumns() {
+  void EncodeColumns(ExecContext* ctx = nullptr) {
     if (!canonical_ || !encs_.empty() || size() == 0) return;
     std::vector<ColumnStats> stats(arity());
     for (size_t j = 0; j < arity(); ++j)
       stats[j] = ColumnStats::Of(cols_[j]);
-    EncodeColumnsWithStats(stats);
+    EncodeColumnsWithStats(stats, ctx);
   }
 
   /// Materializes every encoded column back into its plain value array and
@@ -513,8 +519,9 @@ class Relation {
   /// inside a run) are merged with ⊕ and zero annotations dropped, mirroring
   /// RelationBuilder::Append/Build, so the result is bit-identical (per
   /// column) to a single-builder serial run; out-of-order pieces fall back
-  /// to one Canonicalize().
-  static Relation ConcatPieces(Schema schema, std::vector<Relation> pieces) {
+  /// to one Canonicalize(). The result is encoded under `ctx`'s mode.
+  static Relation ConcatPieces(Schema schema, std::vector<Relation> pieces,
+                               ExecContext* ctx = nullptr) {
     const size_t a = schema.arity();
     size_t rows = 0;
     for (const Relation& p : pieces) rows += p.size();
@@ -555,11 +562,11 @@ class Relation {
       detail::CompactSortedColumns<S>(&cols, &annots);
       Relation out(std::move(schema), std::move(cols), std::move(annots),
                    true);
-      out.EncodeColumns();
+      out.EncodeColumns(ctx);
       return out;
     }
     Relation out(std::move(schema), std::move(cols), std::move(annots), false);
-    out.Canonicalize();
+    out.Canonicalize(ctx);
     return out;
   }
 
@@ -600,10 +607,11 @@ class Relation {
   /// Runs the per-column policy over freshly canonicalized plain columns:
   /// columns the policy compresses move into encs_ and release their plain
   /// storage; the rest stay raw (their encs_ slot is a kPlain marker).
-  void EncodeColumnsWithStats(const std::vector<ColumnStats>& stats) {
+  void EncodeColumnsWithStats(const std::vector<ColumnStats>& stats,
+                              ExecContext* ctx) {
     dcache_.clear();
     encs_.clear();
-    const EncodingMode mode = GlobalEncodingMode();
+    const EncodingMode mode = detail::EncodingModeOf(ctx);
     if (mode == EncodingMode::kPlain || size() == 0) return;
     std::vector<EncodedColumn> encs(arity());
     bool any = false;
@@ -808,21 +816,22 @@ class RelationBuilder {
     annots_.insert(annots_.end(), annots.begin() + start, annots.end());
   }
 
-  /// Finalizes into a canonical relation. The builder is left empty and
-  /// reusable for the same schema.
-  Relation<S> Build() {
+  /// Finalizes into a canonical relation, encoded under `ctx`'s mode (the
+  /// thread-local default context's for nullptr). The builder is left empty
+  /// and reusable for the same schema.
+  Relation<S> Build(ExecContext* ctx = nullptr) {
     if (sorted_) {
       // Rows are already sorted and distinct; drop zero annotations
       // (merge cancellation, e.g. GF2) with one compacting pass.
       detail::CompactSortedColumns<S>(&cols_, &annots_);
       Relation<S> out{schema_, std::move(cols_), std::move(annots_), true};
       Clear();
-      if (encode_) out.EncodeColumns();
+      if (encode_) out.EncodeColumns(ctx);
       return out;
     }
     Relation<S> out{schema_, std::move(cols_), std::move(annots_), false};
     Clear();
-    out.Canonicalize();
+    out.Canonicalize(ctx);
     return out;
   }
 

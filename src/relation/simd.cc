@@ -1,28 +1,9 @@
 #include "relation/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
-// DefaultSimdEnabled() is defined in server/options.cc: every environment
-// knob (TOPOFAQ_SIMD included) is read and parsed in that one file.
-
 namespace topofaq {
-
-namespace {
-
-std::atomic<bool>& SimdSlot() {
-  static std::atomic<bool> on{DefaultSimdEnabled()};
-  return on;
-}
-
-}  // namespace
-
-bool SimdEnabled() { return SimdSlot().load(std::memory_order_relaxed); }
-void SetSimdEnabled(bool on) {
-  SimdSlot().store(on, std::memory_order_relaxed);
-}
-
 namespace simd {
 
 // ---------------------------------------------------------------------------
@@ -433,76 +414,72 @@ __attribute__((target("avx2"))) void DecodeWindowU32Avx2(
 // ---------------------------------------------------------------------------
 // Dispatchers.
 
-size_t LowerBoundU64(const Value* a, size_t lo, size_t hi, Value key,
-                     bool strict, int64_t* blocks) {
+size_t LowerBoundU64([[maybe_unused]] bool vec, const Value* a, size_t lo,
+                     size_t hi, Value key, bool strict,
+                     [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (Available()) return LowerBoundU64Avx2(a, lo, hi, key, strict, blocks);
+  if (vec) return LowerBoundU64Avx2(a, lo, hi, key, strict, blocks);
 #endif
-  (void)blocks;
   return ScalarLowerBoundU64(a, lo, hi, key, strict);
 }
 
-size_t LowerBoundU32(const uint32_t* a, size_t lo, size_t hi, uint32_t key,
-                     bool strict, int64_t* blocks) {
+size_t LowerBoundU32([[maybe_unused]] bool vec, const uint32_t* a, size_t lo,
+                     size_t hi, uint32_t key, bool strict,
+                     [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (Available()) return LowerBoundU32Avx2(a, lo, hi, key, strict, blocks);
+  if (vec) return LowerBoundU32Avx2(a, lo, hi, key, strict, blocks);
 #endif
-  (void)blocks;
   return ScalarLowerBoundU32(a, lo, hi, key, strict);
 }
 
-size_t AdvanceU64(const Value* a, size_t i, size_t n, Value key, bool strict,
-                  int64_t* blocks) {
+size_t AdvanceU64([[maybe_unused]] bool vec, const Value* a, size_t i,
+                  size_t n, Value key, bool strict,
+                  [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (Available()) return AdvanceU64Avx2(a, i, n, key, strict, blocks);
+  if (vec) return AdvanceU64Avx2(a, i, n, key, strict, blocks);
 #endif
-  (void)blocks;
   return ScalarAdvanceU64(a, i, n, key, strict);
 }
 
-Frontier NextMatchU64(const Value* a, size_t i, size_t an, const Value* b,
-                      size_t j, size_t bn, size_t max_blocks,
-                      int64_t* blocks) {
+Frontier NextMatchU64([[maybe_unused]] bool vec, const Value* a, size_t i,
+                      size_t an, const Value* b, size_t j, size_t bn,
+                      size_t max_blocks, [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (Available())
-    return NextMatchU64Avx2(a, i, an, b, j, bn, max_blocks, blocks);
+  if (vec) return NextMatchU64Avx2(a, i, an, b, j, bn, max_blocks, blocks);
 #endif
-  (void)blocks;
   return ScalarNextMatchU64(a, i, an, b, j, bn, max_blocks);
 }
 
-Frontier NextMatchU32(const uint32_t* a, size_t i, size_t an,
-                      const uint32_t* b, size_t j, size_t bn,
-                      size_t max_blocks, int64_t* blocks) {
+Frontier NextMatchU32([[maybe_unused]] bool vec, const uint32_t* a, size_t i,
+                      size_t an, const uint32_t* b, size_t j, size_t bn,
+                      size_t max_blocks, [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (Available())
-    return NextMatchU32Avx2(a, i, an, b, j, bn, max_blocks, blocks);
+  if (vec) return NextMatchU32Avx2(a, i, an, b, j, bn, max_blocks, blocks);
 #endif
-  (void)blocks;
   return ScalarNextMatchU32(a, i, an, b, j, bn, max_blocks);
 }
 
-void DecodeWindowU64(const EncodedColumn& e, size_t begin, size_t end,
-                     Value* out, int64_t* blocks) {
+void DecodeWindowU64([[maybe_unused]] bool vec, const EncodedColumn& e,
+                     size_t begin, size_t end, Value* out,
+                     [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (e.width <= 14 && end - begin >= 4 && Available()) {
+  if (vec && e.width <= 14 && end - begin >= 4) {
     DecodeWindowU64Avx2(e, begin, end, out, blocks);
     return;
   }
 #endif
-  (void)blocks;
   e.DecodeInto(begin, end, out);
 }
 
-void DecodeWindowU32(const EncodedColumn& e, size_t begin, size_t end,
-                     uint32_t* out, int64_t* blocks) {
+void DecodeWindowU32([[maybe_unused]] bool vec, const EncodedColumn& e,
+                     size_t begin, size_t end, uint32_t* out,
+                     [[maybe_unused]] int64_t* blocks) {
 #if defined(TOPOFAQ_X86_SIMD)
-  if (e.width <= 14 && end - begin >= 4 && Available()) {
+  if (vec && e.width <= 14 && end - begin >= 4) {
     DecodeWindowU32Avx2(e, begin, end, out, blocks);
     return;
   }
 #endif
-  (void)blocks;
   e.VisitValues(begin, end, [out, begin](size_t i, Value v) {
     out[i - begin] = static_cast<uint32_t>(v);
   });

@@ -15,15 +15,16 @@
 //     selected at runtime via CpuHasAvx2()). The AVX2 body is *guaranteed
 //     equivalent*: same return value for every input, enforced by the
 //     differential fuzz in tests/simd_kernel_test.cc.
-//   - `simd::Available()` gates every vector path: CPU support AND the
-//     process-wide toggle below. `TOPOFAQ_SIMD=off` (parsed in
-//     server/options.cc through EngineOptions::FromEnv) forces the scalar
-//     bodies end to end — the escape hatch for non-AVX2 hosts and for
-//     bit-identity differential runs.
+//   - Every dispatcher runs the AVX2 body iff the caller's per-call
+//     decision `vec` — simd::Available(ctx.simd), its ExecContext's SIMD
+//     switch AND CPU support — is true. A context with `simd = false` (the
+//     default under `TOPOFAQ_SIMD=off`, parsed in server/options.cc) runs
+//     the scalar bodies end to end — the escape hatch for non-AVX2 hosts and
+//     for bit-identity differential runs.
 //   - Callers thread OpStats counters through the nullable counter
 //     arguments: `simd_blocks` counts vector blocks retired, and callers
 //     bump `scalar_fallbacks` when a loop that could vectorize ran the
-//     scalar body instead (toggle off, unsupported CPU, or an ineligible
+//     scalar body instead (switch off, unsupported CPU, or an ineligible
 //     column shape).
 //
 // Code-space contract: codes from different columns are never compared —
@@ -47,35 +48,15 @@
 
 namespace topofaq {
 
-/// The TOPOFAQ_SIMD default ("on"/"auto"/unset = vector kernels allowed,
-/// "off"/"0" = forced scalar), resolved once. Defined in server/options.cc —
-/// the one file that reads environment knobs (EngineOptions::FromEnv).
-bool DefaultSimdEnabled();
-
-/// Process-global SIMD toggle. Starts at DefaultSimdEnabled(); the engine
-/// installs its EngineOptions::simd on construction, tests may override.
-bool SimdEnabled();
-void SetSimdEnabled(bool on);
-
-/// RAII test helper: force the toggle for one scope, restore on exit.
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(bool on) : prev_(SimdEnabled()) { SetSimdEnabled(on); }
-  ~ScopedSimdMode() { SetSimdEnabled(prev_); }
-  ScopedSimdMode(const ScopedSimdMode&) = delete;
-  ScopedSimdMode& operator=(const ScopedSimdMode&) = delete;
-
- private:
-  bool prev_;
-};
-
 namespace simd {
 
-/// True iff the vector bodies may run: toggle on and the CPU has AVX2.
-inline bool Available() {
+/// True iff the vector bodies may run for a caller whose SIMD switch
+/// (ExecContext::simd) is `on`: the switch on and the CPU has AVX2.
+inline bool Available(bool on) {
 #if defined(TOPOFAQ_X86_SIMD)
-  return SimdEnabled() && CpuHasAvx2();
+  return on && CpuHasAvx2();
 #else
+  (void)on;
   return false;
 #endif
 }
@@ -85,17 +66,17 @@ inline bool Available() {
 /// chain of dependent binary-search probes. Intended for cache-resident
 /// windows (a gallop's final stride, a decoded window); cost is linear in
 /// hi - lo.
-size_t LowerBoundU64(const Value* a, size_t lo, size_t hi, Value key,
-                     bool strict, int64_t* blocks);
-size_t LowerBoundU32(const uint32_t* a, size_t lo, size_t hi, uint32_t key,
-                     bool strict, int64_t* blocks);
+size_t LowerBoundU64(bool vec, const Value* a, size_t lo, size_t hi,
+                     Value key, bool strict, int64_t* blocks);
+size_t LowerBoundU32(bool vec, const uint32_t* a, size_t lo, size_t hi,
+                     uint32_t key, bool strict, int64_t* blocks);
 
 /// The merge-compare primitive: first index t in [i, n) with a[t] >= key
 /// (strict: > key), by forward block scan — the vector form of the
 /// sort-merge `while (a[j] < key) ++j;` advance, same linear asymptotics,
 /// 4 lanes per probe.
-size_t AdvanceU64(const Value* a, size_t i, size_t n, Value key, bool strict,
-                  int64_t* blocks);
+size_t AdvanceU64(bool vec, const Value* a, size_t i, size_t n, Value key,
+                  bool strict, int64_t* blocks);
 
 /// One leapfrog frontier step between two sorted ranges.
 struct Frontier {
@@ -120,13 +101,14 @@ struct Frontier {
 /// leapfrog complexity bound on sparse intersections. kMatch results are
 /// positionally equal to the scalar two-pointer walk; see Frontier::Kind for
 /// the kExhausted position caveat.
-Frontier NextMatchU64(const Value* a, size_t i, size_t an, const Value* b,
-                      size_t j, size_t bn, size_t max_blocks, int64_t* blocks);
-Frontier NextMatchU32(const uint32_t* a, size_t i, size_t an,
+Frontier NextMatchU64(bool vec, const Value* a, size_t i, size_t an,
+                      const Value* b, size_t j, size_t bn, size_t max_blocks,
+                      int64_t* blocks);
+Frontier NextMatchU32(bool vec, const uint32_t* a, size_t i, size_t an,
                       const uint32_t* b, size_t j, size_t bn,
                       size_t max_blocks, int64_t* blocks);
 
-// Scalar reference twins: always the scalar body, regardless of toggle or
+// Scalar reference twins: always the scalar body, regardless of switch or
 // CPU — the differential oracle for tests/simd_kernel_test.cc and the
 // scalar legs of bench_intersect.
 size_t ScalarLowerBoundU64(const Value* a, size_t lo, size_t hi, Value key,
@@ -152,12 +134,12 @@ inline bool FitsU32(const EncodedColumn& e) {
 
 /// Decodes rows [begin, end) of `e` into flat lanes — the vectorized form
 /// of EncodedColumn::DecodeInto (quad-window unpack + gathered dict lookup
-/// for widths <= 14; scalar VisitValues fallback for wider codes or scalar
-/// mode). The u32 form requires FitsU32(e).
-void DecodeWindowU64(const EncodedColumn& e, size_t begin, size_t end,
-                     Value* out, int64_t* blocks);
-void DecodeWindowU32(const EncodedColumn& e, size_t begin, size_t end,
-                     uint32_t* out, int64_t* blocks);
+/// for widths <= 14; scalar VisitValues fallback for wider codes or when
+/// !vec). The u32 form requires FitsU32(e).
+void DecodeWindowU64(bool vec, const EncodedColumn& e, size_t begin,
+                     size_t end, Value* out, int64_t* blocks);
+void DecodeWindowU32(bool vec, const EncodedColumn& e, size_t begin,
+                     size_t end, uint32_t* out, int64_t* blocks);
 
 }  // namespace simd
 }  // namespace topofaq

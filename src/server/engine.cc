@@ -17,8 +17,6 @@ double MsSince(std::chrono::steady_clock::time_point t0,
 
 Engine::Engine(EngineOptions opts)
     : opts_(std::move(opts)), admission_(opts_.admission) {
-  SetGlobalEncodingMode(opts_.encoding);
-  SetSimdEnabled(opts_.simd);
   // Resolve every metric handle now (registry objects are process-lifetime);
   // the serving path then records with relaxed atomics only.
   auto& reg = obs::MetricsRegistry::Shared();
@@ -228,8 +226,11 @@ bool Engine::PopLocked(Job* out) {
 
 void Engine::DispatcherLoop() {
   // One context per dispatcher: scratch buffers and the worker arena are
-  // reused across every query this thread runs.
+  // reused across every query this thread runs, all under this engine's
+  // modes.
   ExecContext ctx;
+  ctx.encoding = opts_.encoding;
+  ctx.simd = opts_.simd;
   for (;;) {
     Job job;
     {
@@ -360,10 +361,13 @@ Result<std::shared_ptr<StandingSession>> Engine::Subscribe(QueryRequest req) {
   // work Solve would do, with full kernel parallelism.
   ExecContext ctx;
   ctx.parallelism = std::max(1, opts_.parallelism);
+  ctx.encoding = opts_.encoding;
+  ctx.simd = opts_.simd;
   return std::visit(
       [&](auto& q) -> Result<std::shared_ptr<StandingSession>> {
         using Sm = typename std::decay_t<decltype(q)>::Semiring;
-        auto sq = StandingQuery<Sm>::Create(std::move(q), &ctx);
+        auto sq = StandingQuery<Sm>::CreateOn(std::move(q),
+                                              a.width.decomposition, &ctx);
         if (!sq.ok()) return sq.status();
         return std::shared_ptr<StandingSession>(new StandingSession(
             this, AnyStandingQuery(*std::move(sq)), std::move(a.profiles),

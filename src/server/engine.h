@@ -82,9 +82,9 @@ struct EngineStats {
 
 class Engine {
  public:
-  /// Constructing an Engine installs opts.encoding as the process encoding
-  /// mode (the engine owns process configuration) and starts the
-  /// dispatcher threads.
+  /// Starts the dispatcher threads. Every query, subscription and delta
+  /// runs on a context carrying opts.encoding and opts.simd, so engines
+  /// with different modes can share one process.
   explicit Engine(EngineOptions opts = EngineOptions::FromEnv());
   /// Drains every submitted query (cancelled ones unwind fast), then joins.
   ~Engine();

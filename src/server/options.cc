@@ -1,7 +1,7 @@
 // The single file in src/ that reads the process environment. Every knob is
-// parsed here — either into an EngineOptions field or into one of the two
-// legacy default seams the kernel layer consumes — so "what does variable X
-// accept" has exactly one answer.
+// parsed here — either into an EngineOptions field or into one of the
+// defaults a fresh ExecContext starts at — so "what does variable X accept"
+// has exactly one answer.
 #include "server/options.h"
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <cstring>
 #include <thread>
 
-#include "relation/simd.h"
 #include "util/check.h"
 
 namespace topofaq {

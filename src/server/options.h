@@ -1,15 +1,12 @@
 // Engine configuration: every tunable the serving layer honors, in one
 // struct, with one parser for the environment.
 //
-// Before this header existed the process knobs were scattered getenv calls:
-// TOPOFAQ_PARALLELISM in relation/exec.cc, TOPOFAQ_ENCODING in
-// relation/encoding.cc, TOPOFAQ_PAGE_BUDGET read ad hoc by tests. They are
-// now fields of EngineOptions, and EngineOptions::FromEnv() — implemented in
-// options.cc, the single file in src/ that calls std::getenv — is the only
-// place environment text is parsed. The legacy seams DefaultParallelism()
-// (relation/exec.h) and DefaultEncodingMode() (relation/encoding.h) are also
-// defined there, so kernel-level defaults and engine options can never
-// disagree about what an environment variable means.
+// EngineOptions::FromEnv() — implemented in options.cc, the single file in
+// src/ that calls std::getenv — is the only place environment text is
+// parsed. The values a fresh ExecContext starts at (DefaultParallelism(),
+// DefaultSimdEnabled(), DefaultEncodingMode()) are defined there too, so
+// kernel defaults and engine options never disagree about what an
+// environment variable means.
 #ifndef TOPOFAQ_SERVER_OPTIONS_H_
 #define TOPOFAQ_SERVER_OPTIONS_H_
 
@@ -18,7 +15,6 @@
 
 #include "relation/encoding.h"
 #include "relation/exec.h"
-#include "relation/simd.h"
 
 namespace topofaq {
 
@@ -49,12 +45,14 @@ struct EngineOptions {
   /// Operator parallelism granted to non-point queries (point lookups always
   /// run serially — fan-out costs more than the lookup).
   int parallelism = DefaultParallelism();
-  /// Column encoding policy the engine installs process-wide on
-  /// construction (SetGlobalEncodingMode).
+  /// Column encoding policy of every relation this engine's queries build:
+  /// copied into each job's ExecContext::encoding, never into process
+  /// state. The TOPOFAQ_ENCODING knob.
   EncodingMode encoding = DefaultEncodingMode();
-  /// Whether the vector kernels (relation/simd.h) may run; installed
-  /// process-wide on construction (SetSimdEnabled). The TOPOFAQ_SIMD knob;
-  /// off forces the guaranteed-equivalent scalar bodies everywhere.
+  /// Whether this engine's queries may run the vector kernels
+  /// (relation/simd.h): copied into each job's ExecContext::simd. The
+  /// TOPOFAQ_SIMD knob; off forces the guaranteed-equivalent scalar bodies
+  /// for this engine.
   bool simd = DefaultSimdEnabled();
   /// Per-node page budget for the streaming network protocols
   /// (protocols/async.h); the TOPOFAQ_PAGE_BUDGET knob. Engine execution is

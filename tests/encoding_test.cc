@@ -232,15 +232,14 @@ TEST(EncodingPolicy, AutoLeavesWideRandomColumnsPlain) {
 // ---------------------------------------------------------------------------
 
 TEST(RelationEncoding, EncodeDecodeRoundTrip) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
-  NRel base = RandomRelation<NaturalSemiring>({0, 1}, 6000, 4096, 21, 2);
+  EncodingContext plain(EncodingMode::kPlain);
+  NRel base =
+      RandomRelation<NaturalSemiring>({0, 1}, 6000, 4096, 21, 2, &plain);
   ASSERT_FALSE(base.any_encoded());
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
+    EncodingContext force(m);
     NRel enc = base;
-    {
-      ScopedEncodingMode force(m);
-      enc.EncodeColumns();
-    }
+    enc.EncodeColumns(&force);
     ASSERT_TRUE(enc.any_encoded());
     // Every accessor decodes to the same values.
     for (size_t j = 0; j < enc.arity(); ++j) {
@@ -258,12 +257,12 @@ TEST(RelationEncoding, EncodeDecodeRoundTrip) {
 }
 
 TEST(RelationEncoding, MutationDecodesFirst) {
-  ScopedEncodingMode force(EncodingMode::kForceFor);
-  NRel r = RandomRelation<NaturalSemiring>({0, 1}, 100, 32, 5);
+  EncodingContext force(EncodingMode::kForceFor);
+  NRel r = RandomRelation<NaturalSemiring>({0, 1}, 100, 32, 5, 0, &force);
   ASSERT_TRUE(r.any_encoded());
   r.Add({99, 99}, 3);  // mutators drop to plain storage...
   EXPECT_FALSE(r.canonical());
-  r.Canonicalize();  // ...and canonicalize re-encodes
+  r.Canonicalize(&force);  // ...and canonicalize re-encodes
   EXPECT_TRUE(r.any_encoded());
   EXPECT_EQ(r.at(r.size() - 1, 0), 99u);
 }
@@ -271,13 +270,12 @@ TEST(RelationEncoding, MutationDecodesFirst) {
 TEST(RelationEncoding, AutoEncodingPreservesBytes) {
   // Auto mode on a large skewed relation: encoded and plain builds of the
   // same rows must decode identically.
-  ScopedEncodingMode plain(EncodingMode::kPlain);
-  NRel base = RandomRelation<NaturalSemiring>({0, 1, 2}, 20000, 256, 33);
-  NRel enc;
-  {
-    ScopedEncodingMode autom(EncodingMode::kAuto);
-    enc = RandomRelation<NaturalSemiring>({0, 1, 2}, 20000, 256, 33);
-  }
+  EncodingContext plain(EncodingMode::kPlain), autom(EncodingMode::kAuto);
+  NRel base =
+      RandomRelation<NaturalSemiring>({0, 1, 2}, 20000, 256, 33, 0, &plain);
+  NRel enc =
+      RandomRelation<NaturalSemiring>({0, 1, 2}, 20000, 256, 33, 0, &autom);
+  EXPECT_FALSE(base.any_encoded());
   EXPECT_TRUE(enc.any_encoded());  // 20k rows over a 256-value domain
   EXPECT_TRUE(BytesEqual(enc, base));
 }
@@ -287,30 +285,17 @@ TEST(RelationEncoding, AutoEncodingPreservesBytes) {
 // parallelism {1, 2, hw}
 // ---------------------------------------------------------------------------
 
-/// Re-encodes a copy of `r` under `m` (kPlain returns a decoded copy).
-template <CommutativeSemiring S>
-Relation<S> Recode(const Relation<S>& r, EncodingMode m) {
-  Relation<S> out = r;
-  ScopedEncodingMode scope(m);
-  if (m == EncodingMode::kPlain)
-    out.DecodeAll();
-  else
-    out.EncodeColumns();
-  return out;
-}
-
 /// Runs Join/Eliminate on (left, right) under every
 /// encoding pairing and parallelism level; all results must match the
-/// all-plain serial bytes. Outputs are built under kPlain scope so the
+/// all-plain serial bytes. Outputs are built on kPlain contexts so the
 /// comparison isolates *input* encodings (output encoding is covered by
 /// the round-trip tests above).
 template <CommutativeSemiring S>
 void CheckOpsEncodingInvariant(const Relation<S>& left,
                                const Relation<S>& right, const char* what) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
   const int hw =
       std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
-  ExecContext serial;
+  EncodingContext serial(EncodingMode::kPlain);
   serial.parallelism = 1;
   const Relation<S> join0 = Join(left, right, &serial);
   const Relation<S> elim0 =
@@ -323,7 +308,7 @@ void CheckOpsEncodingInvariant(const Relation<S>& left,
       const Relation<S> l = Recode(left, lm);
       const Relation<S> r = Recode(right, rm);
       for (int p : {1, 2, hw}) {
-        ExecContext ctx;
+        EncodingContext ctx(EncodingMode::kPlain);
         ctx.parallelism = p;
         SCOPED_TRACE(std::string(what) + " lm=" + std::to_string(int(lm)) +
                      " rm=" + std::to_string(int(rm)) + " p=" +
@@ -340,16 +325,18 @@ void CheckOpsEncodingInvariant(const Relation<S>& left,
 
 template <CommutativeSemiring S>
 void RunEncodedSemiringSuite(uint64_t seed) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  EncodingContext plain(EncodingMode::kPlain);
   const size_t n = 5000;  // above kEncodeMinRows and kParallelMinRows
   // Skewed keys: long runs, where dictionaries actually engage.
-  CheckOpsEncodingInvariant<S>(RandomRelation<S>({0, 1}, n, 5000, seed, 2),
-                               RandomRelation<S>({1, 2}, n, 5000, seed + 1, 2),
-                               "skewed probe join");
+  CheckOpsEncodingInvariant<S>(
+      RandomRelation<S>({0, 1}, n, 5000, seed, 2, &plain),
+      RandomRelation<S>({1, 2}, n, 5000, seed + 1, 2, &plain),
+      "skewed probe join");
   // Prefix-aligned merge path.
-  CheckOpsEncodingInvariant<S>(RandomRelation<S>({0, 1}, n, 256, seed + 2),
-                               RandomRelation<S>({0, 2}, n, 256, seed + 3),
-                               "prefix merge join");
+  CheckOpsEncodingInvariant<S>(
+      RandomRelation<S>({0, 1}, n, 256, seed + 2, 0, &plain),
+      RandomRelation<S>({0, 2}, n, 256, seed + 3, 0, &plain),
+      "prefix merge join");
 }
 
 TEST(EncodedOps, NaturalSemiring) {
@@ -364,19 +351,18 @@ TEST(EncodedOps, MinPlusSemiring) {
 TEST(EncodedOps, Gf2Semiring) { RunEncodedSemiringSuite<Gf2Semiring>(504); }
 
 TEST(EncodedOps, MultiwayTriangleMatchesPlain) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
   using S = NaturalSemiring;
-  const Relation<S> r = RandomRelation<S>({0, 1}, 5000, 48, 601, 1);
-  const Relation<S> s = RandomRelation<S>({1, 2}, 5000, 48, 602, 1);
-  const Relation<S> t = RandomRelation<S>({0, 2}, 5000, 48, 603, 1);
-  ExecContext serial;
+  EncodingContext serial(EncodingMode::kPlain);
   serial.parallelism = 1;
+  const Relation<S> r = RandomRelation<S>({0, 1}, 5000, 48, 601, 1, &serial);
+  const Relation<S> s = RandomRelation<S>({1, 2}, 5000, 48, 602, 1, &serial);
+  const Relation<S> t = RandomRelation<S>({0, 2}, 5000, 48, 603, 1, &serial);
   const Relation<S> base =
       MultiwayJoin(std::vector<Relation<S>>{r, s, t}, &serial);
   ASSERT_GT(base.size(), 0u);
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
     for (int p : {1, 2}) {
-      ExecContext ctx;
+      EncodingContext ctx(EncodingMode::kPlain);
       ctx.parallelism = p;
       SCOPED_TRACE("mode " + std::to_string(int(m)) + " p " +
                    std::to_string(p));
@@ -388,7 +374,7 @@ TEST(EncodedOps, MultiwayTriangleMatchesPlain) {
     }
   }
   // Mixed: each input under a different encoding.
-  ExecContext ctx;
+  EncodingContext ctx(EncodingMode::kPlain);
   EXPECT_TRUE(BytesEqual(
       MultiwayJoin(
           std::vector<Relation<S>>{Recode(r, EncodingMode::kForceDict),
@@ -399,16 +385,16 @@ TEST(EncodedOps, MultiwayTriangleMatchesPlain) {
 }
 
 TEST(EncodedOps, EliminateBatchedFoldMatchesPlain) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
   using S = MinPlusSemiring;
-  const Relation<S> r = RandomRelation<S>({0, 1, 2, 3}, 6000, 16, 71, 1);
-  ExecContext serial;
+  EncodingContext serial(EncodingMode::kPlain);
   serial.parallelism = 1;
+  const Relation<S> r =
+      RandomRelation<S>({0, 1, 2, 3}, 6000, 16, 71, 1, &serial);
   const Relation<S> base =
       Eliminate(r, {3, 2}, {VarOp::kSemiringSum, VarOp::kSemiringSum},
                 &serial);
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
-    ExecContext ctx;
+    EncodingContext ctx(EncodingMode::kPlain);
     ctx.parallelism = 2;
     EXPECT_TRUE(BytesEqual(
         Eliminate(Recode(r, m), {3, 2},
@@ -422,12 +408,12 @@ TEST(EncodedOps, EliminateBatchedFoldMatchesPlain) {
 // ---------------------------------------------------------------------------
 
 TEST(EncodedStream, RoundTripIsBitIdenticalAndCheaper) {
-  ScopedEncodingMode force(EncodingMode::kForceDict);
-  NRel r = RandomRelation<NaturalSemiring>({0, 1, 2}, 5000, 64, 81, 2);
+  EncodingContext force(EncodingMode::kForceDict);
+  NRel r = RandomRelation<NaturalSemiring>({0, 1, 2}, 5000, 64, 81, 2, &force);
   ASSERT_TRUE(r.any_encoded());
   AsyncNetwork net(LineTopology(2), LinkParams{1.0, 64.0});
-  StreamNet<NaturalSemiring> streams(&net,
-      StreamOptions{.page_rows = 64, .node_page_budget = 4});
+  StreamNet<NaturalSemiring> streams(
+      &net, StreamOptions{.page_rows = 64, .node_page_budget = 4}, &force);
   NRel rebuilt;
   bool done = false;
   streams.SendRelation(0, 1, r, /*bits_per_attr=*/32, [&](NRel got) {
@@ -437,13 +423,14 @@ TEST(EncodedStream, RoundTripIsBitIdenticalAndCheaper) {
   net.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(BytesEqual(r, rebuilt));
+  EXPECT_EQ(rebuilt.col_encoding(0), ColumnEncoding::kDict);  // sink's mode
   // Narrow dictionary codes beat the 32-bit plain model by a wide margin.
   EXPECT_LT(streams.payload_bits_encoded(), streams.payload_bits_plain());
   EXPECT_EQ(streams.payload_bits_plain(), r.EncodedBits(32));
 }
 
 template <CommutativeSemiring S>
-DistInstance<S> SkewedInstance(int seed, Graph g) {
+DistInstance<S> SkewedInstance(int seed, Graph g, ExecContext* ctx) {
   Rng rng(seed);
   Hypergraph h = RandomAcyclicHypergraph(4, 3, &rng);
   DistInstance<S> inst;
@@ -459,7 +446,7 @@ DistInstance<S> SkewedInstance(int seed, Graph g) {
         v = (Value{1} << 30) + rng.NextU64(16) * 1'000'003;
       r.Add(row, TestAnnot<S>(rng.NextU64(1 << 20)));
     }
-    r.Canonicalize();
+    r.Canonicalize(ctx);
     rels.push_back(std::move(r));
   }
   inst.query = MakeFaqSS<S>(h, std::move(rels), {});
@@ -470,20 +457,17 @@ DistInstance<S> SkewedInstance(int seed, Graph g) {
 }
 
 TEST(EncodedStream, AsyncProtocolsMatchSyncUnderForcedEncodings) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
-  auto inst = SkewedInstance<NaturalSemiring>(901, LineTopology(4));
-  auto sync = RunTrivialProtocol(inst);
+  EncodingContext plain(EncodingMode::kPlain);
+  auto inst = SkewedInstance<NaturalSemiring>(901, LineTopology(4), &plain);
+  auto sync = RunTrivialProtocol(inst, {}, &plain);
   ASSERT_TRUE(sync.ok());
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
     auto enc = inst;
-    {
-      ScopedEncodingMode force(m);
-      for (auto& r : enc.query.relations) r.EncodeColumns();
-    }
-    ScopedEncodingMode scope(m);  // intermediates re-encode under m too
+    for (auto& r : enc.query.relations) r = Recode(r, m);
+    EncodingContext scope(m);  // intermediates re-encode under m too
     AsyncProtocolOptions opts;
     opts.stream.page_rows = 64;
-    auto async = RunTrivialProtocolAsync(enc, opts);
+    auto async = RunTrivialProtocolAsync(enc, opts, &scope);
     ASSERT_TRUE(async.ok()) << int(m);
     EXPECT_TRUE(BytesEqual(sync->answer, async->answer)) << int(m);
     // The encoded payload accounting reflects real savings, and the plain

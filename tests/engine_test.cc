@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bit_identity.h"
@@ -21,6 +22,7 @@
 #include "hypergraph/gyo.h"
 #include "oracle.h"
 #include "random_instances.h"
+#include "relation/simd.h"
 #include "server/engine.h"
 #include "util/rng.h"
 
@@ -313,6 +315,91 @@ TEST(Engine, SolveLooksUpItsPlanOnce) {
     EXPECT_EQ(counted() - counted0, lookups() - lookups0);
   }
   EXPECT_EQ(PlanCache::Shared().stats().misses, 1);
+}
+
+TEST(Engine, SubscribeLooksUpItsPlanOnce) {
+  // Subscribe builds its standing query on the plan admission looked up:
+  // each Subscribe makes exactly one PlanCache lookup, and the engine's
+  // plan-cache counters count exactly those lookups.
+  PlanCache::Shared().Clear();
+  Engine engine;
+  const auto lookups = [] {
+    const PlanCache::Stats s = PlanCache::Shared().stats();
+    return s.hits + s.misses;
+  };
+  const auto counted = [&] {
+    return MetricsCounter(engine, "engine.plan_cache.hit") +
+           MetricsCounter(engine, "engine.plan_cache.miss");
+  };
+  const int64_t lookups0 = lookups(), counted0 = counted();
+  for (int i = 0; i < 3; ++i) {
+    QueryRequest req;
+    req.query =
+        RandomQuery<NaturalSemiring>(StarGraph(3), 100, 16, 80 + i, {0});
+    auto ss = engine.Subscribe(std::move(req));
+    ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+    EXPECT_EQ(lookups(), lookups0 + i + 1);
+    EXPECT_EQ(counted() - counted0, lookups() - lookups0);
+  }
+  EXPECT_EQ(PlanCache::Shared().stats().misses, 1);
+}
+
+TEST(Engine, TwoEnginesKeepTheirOwnModesConcurrently) {
+  // Modes are request context: two engines in one process, configured with
+  // different encoding and SIMD settings and solving concurrently from two
+  // threads, each compute and store every answer as their own options say.
+  // The triangle's answer over F = {0, 1} is built by operators (the
+  // multiway join, then the elimination of 2), never passed through from an
+  // input, so its column encodings are the engine's.
+  using S = NaturalSemiring;
+  const FaqQuery<S> q = RandomQuery<S>(CycleGraph(3), 400, 24, 31, {0, 1});
+  auto oracle = BruteForceSolve(q);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_FALSE(oracle->empty());
+  struct Config {
+    EncodingMode mode;
+    bool simd;
+    ColumnEncoding want;
+  };
+  const Config configs[2] = {
+      {EncodingMode::kPlain, false, ColumnEncoding::kPlain},
+      {EncodingMode::kForceDict, true, ColumnEncoding::kDict}};
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (const Config& c : configs) {
+    EngineOptions opts;
+    opts.encoding = c.mode;
+    opts.simd = c.simd;
+    engines.push_back(std::make_unique<Engine>(opts));
+  }
+  constexpr int kRounds = 8;
+  std::vector<Result<QueryResult>> results[2];
+  std::vector<std::thread> threads;
+  for (int e = 0; e < 2; ++e)
+    threads.emplace_back([&, e] {
+      for (int i = 0; i < kRounds; ++i) {
+        QueryRequest req;
+        req.query = q;
+        results[e].push_back(engines[static_cast<size_t>(e)]->Solve(
+            std::move(req)));
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  for (int e = 0; e < 2; ++e) {
+    SCOPED_TRACE("engine " + std::to_string(e));
+    ASSERT_EQ(results[e].size(), static_cast<size_t>(kRounds));
+    for (const Result<QueryResult>& r : results[e]) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const Relation<S>& ans = r->answer_as<S>();
+      EXPECT_TRUE(ans.EqualsAsFunction(*oracle));
+      for (size_t j = 0; j < ans.arity(); ++j)
+        EXPECT_EQ(ans.col_encoding(j), configs[e].want) << "column " << j;
+      if (!configs[e].simd) {
+        EXPECT_EQ(r->kernel.simd_blocks, 0);
+      } else if (simd::Available(true)) {
+        EXPECT_GT(r->kernel.simd_blocks, 0);
+      }
+    }
+  }
 }
 
 TEST(Admission, CyclicityIsThePlansGyoVerdict) {

@@ -10,7 +10,6 @@
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
-#include "relation/simd.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -114,8 +113,10 @@ TEST(ExecContext, SerialOpStatsArePinned) {
   // One worker runs each operator's emission once, on the caller's
   // context: its counters on fixed inputs are pinned exactly (scalar
   // kernels and plain columns, so the pins hold on every host and CI leg).
-  ScopedSimdMode scalar(false);
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  ExecContext ctx;
+  ctx.parallelism = 1;
+  ctx.simd = false;
+  ctx.encoding = EncodingMode::kPlain;
   Rng rng(2026);
   auto random_rel = [&](std::vector<VarId> vars, int rows, uint64_t dom) {
     NRel r{Schema(std::move(vars))};
@@ -124,7 +125,7 @@ TEST(ExecContext, SerialOpStatsArePinned) {
       for (size_t j = 0; j < r.arity(); ++j) row.push_back(rng.NextU64(dom));
       r.Add(row, rng.NextU64(5) + 1);
     }
-    r.Canonicalize();
+    r.Canonicalize(&ctx);
     return r;
   };
   const NRel r01 = random_rel({0, 1}, 400, 40);
@@ -132,8 +133,6 @@ TEST(ExecContext, SerialOpStatsArePinned) {
   const NRel s12 = random_rel({1, 2}, 300, 40);
   const NRel t02 = random_rel({0, 2}, 300, 30);
   const NRel u012 = random_rel({0, 1, 2}, 900, 30);
-  ExecContext ctx;
-  ctx.parallelism = 1;
 
   const NRel merged = Join(r01, s02, &ctx);  // key {0}: prefix on both sides
   ExpectPinned(ctx.join, {1, 624, 2358, 305, 0, 2});

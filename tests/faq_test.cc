@@ -279,6 +279,27 @@ TEST(Yannakakis, RootFinishFoldsDuplicatesInFOrder) {
   }
 }
 
+TEST(JoinAndEliminate, DisconnectedComponentsJoinOnceAtOneWorker) {
+  // Two variable-disjoint components: each reduces on its own, and one Join
+  // crosses the reduced parts. Nothing else is joined — seeding the cross
+  // combination or a component's chain with the unit relation would add a
+  // Join call per seed and 1 + |operand| rows per seed to rows_in.
+  using S = NaturalSemiring;
+  const Hypergraph h(4, {{0, 1}, {2, 3}});
+  const FaqQuery<S> q = RandomQuery<S>(h, 60, 8, 41, {0, 2});
+  ExecContext ctx;
+  ctx.parallelism = 1;
+  const Relation<S> out =
+      internal::JoinAndEliminate(q.relations, q.free_vars, q, &ctx);
+  ExecContext side;
+  const Relation<S> a = internal::EliminateAll(q.relations[0], {1}, q, &side);
+  const Relation<S> b = internal::EliminateAll(q.relations[1], {3}, q, &side);
+  EXPECT_EQ(ctx.join.calls, 1);
+  EXPECT_EQ(ctx.join.rows_in, static_cast<int64_t>(a.size() + b.size()));
+  EXPECT_TRUE(out.canonical());
+  EXPECT_TRUE(out.EqualsAsFunction(reference::Join(a, b)));
+}
+
 TEST(Yannakakis, NonRootCoreBagKeepsItsParentBag) {
   // Triangle {0,1,2} with the path 2-3-4 hanging off it, F = {3,4}: the
   // decomposition is rooted at the forest edge {3,4}, so the synthetic core
@@ -548,26 +569,30 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FaqDifferential, ::testing::Range(0, 20));
 
 TEST(Faq, InstantiateKeepsCanonicalEncodedInputsInAscendingAtoms) {
   // Atoms whose written order is already ascending need no column reorder:
-  // the inputs must come through still canonical and still encoded. The
-  // instantiation runs in plain mode, so a re-sort would also re-encode
-  // them plain.
+  // the inputs must come through still canonical and still encoded, in the
+  // very packed buffers they arrived in. A re-sort would decode them and
+  // re-encode fresh buffers, under whatever mode — so buffer identity is
+  // the check, not the encoding alone.
   auto parsed = ParseQuery("q(A) :- R(A, B), S(B, C)");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EncodingContext dict(EncodingMode::kForceDict);
   std::vector<Relation<NaturalSemiring>> rels;
-  {
-    ScopedEncodingMode dict(EncodingMode::kForceDict);
-    for (uint64_t seed : {81, 82})
-      rels.push_back(
-          topofaq::RandomRelation<NaturalSemiring>({0, 1}, 50, 10, seed));
-  }
+  for (uint64_t seed : {81, 82})
+    rels.push_back(topofaq::RandomRelation<NaturalSemiring>({0, 1}, 50, 10,
+                                                            seed, 0, &dict));
   ASSERT_TRUE(rels[0].canonical());
   ASSERT_EQ(rels[0].col_encoding(0), ColumnEncoding::kDict);
-  ScopedEncodingMode plain(EncodingMode::kPlain);
-  auto q = InstantiateQuery(*parsed, rels);
+  std::vector<Relation<NaturalSemiring>> moved = rels;
+  std::vector<const uint64_t*> words;
+  for (const auto& r : moved) words.push_back(r.encoded_col(0)->words.data());
+  auto q = InstantiateQuery(*parsed, std::move(moved));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  for (const auto& r : q->relations) {
+  for (size_t i = 0; i < q->relations.size(); ++i) {
+    const auto& r = q->relations[i];
     EXPECT_TRUE(r.canonical());
     EXPECT_EQ(r.col_encoding(0), ColumnEncoding::kDict);
+    ASSERT_NE(r.encoded_col(0), nullptr);
+    EXPECT_EQ(r.encoded_col(0)->words.data(), words[i]);
   }
   EXPECT_EQ(q->relations[1].schema(), Schema({1, 2}));
   EXPECT_TRUE(q->relations[1].columns() == rels[1].columns());

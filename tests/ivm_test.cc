@@ -34,6 +34,13 @@
 namespace topofaq {
 namespace {
 
+/// The encoding a forced (non-auto) mode stores every non-empty column in.
+ColumnEncoding ForcedEncoding(EncodingMode m) {
+  if (m == EncodingMode::kForceDict) return ColumnEncoding::kDict;
+  if (m == EncodingMode::kForceFor) return ColumnEncoding::kFor;
+  return ColumnEncoding::kPlain;
+}
+
 /// One differential round: apply `d` to the standing query and (a copy) to
 /// the oracle's base, then assert the updated base and the answer are both
 /// byte-identical to the standing state.
@@ -48,8 +55,12 @@ void CheckRound(StandingQuery<S>* sq, FaqQuery<S>* oracle, int rel, Delta<S> d,
   ASSERT_TRUE(mirrored.ok()) << mirrored.ToString();
   // Both sides go through ApplyDeltaToRelation, so the bases must agree
   // byte-for-byte before the answers are even compared.
-  ASSERT_TRUE(BytesEqual(sq->query().relations[static_cast<size_t>(rel)],
-                         oracle->relations[static_cast<size_t>(rel)]));
+  const Relation<S>& base = sq->query().relations[static_cast<size_t>(rel)];
+  ASSERT_TRUE(BytesEqual(base, oracle->relations[static_cast<size_t>(rel)]));
+  // A forced mode on the context reaches the maintained base too.
+  if (!base.empty() && ctx->encoding != EncodingMode::kAuto) {
+    EXPECT_EQ(base.col_encoding(0), ForcedEncoding(ctx->encoding));
+  }
   auto full = YannakakisSolve(*oracle, ctx);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_TRUE(BytesEqual(sq->Current(), *full));
@@ -60,10 +71,12 @@ void CheckRound(StandingQuery<S>* sq, FaqQuery<S>* oracle, int rel, Delta<S> d,
 template <CommutativeSemiring S>
 void RunDifferential(const Hypergraph& h, std::vector<VarId> free_vars,
                      size_t tuples, uint64_t dom, uint64_t seed,
-                     int parallelism, int rounds) {
-  ExecContext ctx;
+                     int parallelism, int rounds,
+                     EncodingMode mode = DefaultEncodingMode()) {
+  EncodingContext ctx(mode);
   ctx.parallelism = parallelism;
-  FaqQuery<S> oracle = RandomQuery<S>(h, tuples, dom, seed, free_vars);
+  FaqQuery<S> oracle =
+      RandomQuery<S>(h, tuples, dom, seed, free_vars, 0, &ctx);
   auto sq = StandingQuery<S>::Create(oracle, &ctx);
   ASSERT_TRUE(sq.ok()) << sq.status().ToString();
   auto full0 = YannakakisSolve(oracle, &ctx);
@@ -119,8 +132,7 @@ void RunMatrix(uint64_t seed0) {
         SCOPED_TRACE(InstanceLabel(std::string(sh.name) + " p=" +
                                        std::to_string(p) + " enc=" + enc.name,
                                    seed));
-        ScopedEncodingMode scoped(enc.mode);
-        RunDifferential<S>(sh.h, sh.free_vars, 120, 30, seed, p, 5);
+        RunDifferential<S>(sh.h, sh.free_vars, 120, 30, seed, p, 5, enc.mode);
         if (::testing::Test::HasFailure()) return;
       }
     }

@@ -42,10 +42,11 @@ Relation<S> PairwiseOracle(const std::vector<Relation<S>>& rels) {
 /// level must reproduce the serial bytes.
 template <CommutativeSemiring S>
 void CheckMultiway(const std::vector<Relation<S>>& rels,
-                   const std::string& what) {
+                   const std::string& what, bool simd) {
   SCOPED_TRACE(what);
   ExecContext serial;
   serial.parallelism = 1;
+  serial.simd = simd;
   const Relation<S> mw = MultiwayJoin(rels, &serial);
   EXPECT_TRUE(mw.canonical());
   EXPECT_TRUE(mw.EqualsAsFunction(PairwiseOracle(rels)));
@@ -54,37 +55,44 @@ void CheckMultiway(const std::vector<Relation<S>>& rels,
   for (int p : {2, 7, hw}) {
     ExecContext ctx;
     ctx.parallelism = p;
+    ctx.simd = simd;
     SCOPED_TRACE("parallelism " + std::to_string(p));
     EXPECT_TRUE(BytesEqual(MultiwayJoin(rels, &ctx), mw));
     EXPECT_EQ(ctx.multiway.rows_out, serial.multiway.rows_out);
+    if (!simd) {
+      EXPECT_EQ(ctx.multiway.simd_blocks, 0);
+    }
+  }
+  if (!simd) {
+    EXPECT_EQ(serial.multiway.simd_blocks, 0);
   }
 }
 
 template <CommutativeSemiring S>
-void RunSemiringSuite(uint64_t seed) {
+void RunSemiringSuite(uint64_t seed, bool simd = DefaultSimdEnabled()) {
   const size_t n = 2000;  // above kParallelMinRows: the morsel path engages
   // Triangle R(0,1) ⋈ S(1,2) ⋈ T(0,2): the canonical cyclic core.
   CheckMultiway<S>({RandomRelation<S>({0, 1}, n, 250, seed),
                     RandomRelation<S>({1, 2}, n, 250, seed + 1),
                     RandomRelation<S>({0, 2}, n, 250, seed + 2)},
-                   InstanceLabel("triangle", seed));
+                   InstanceLabel("triangle", seed), simd);
   // 4-cycle R(0,1) ⋈ S(1,2) ⋈ T(2,3) ⋈ U(0,3).
   CheckMultiway<S>({RandomRelation<S>({0, 1}, n, 400, seed + 3),
                     RandomRelation<S>({1, 2}, n, 400, seed + 4),
                     RandomRelation<S>({2, 3}, n, 400, seed + 5),
                     RandomRelation<S>({0, 3}, n, 400, seed + 6)},
-                   InstanceLabel("4-cycle", seed));
+                   InstanceLabel("4-cycle", seed), simd);
   // Heavy skew on the outermost variable: long unequal top-level key runs
   // stress the morsel-cut alignment.
   CheckMultiway<S>({RandomRelation<S>({0, 1}, n, 64, seed + 7, 2),
                     RandomRelation<S>({1, 2}, n, 64, seed + 8),
                     RandomRelation<S>({0, 2}, n, 64, seed + 9, 2)},
-                   InstanceLabel("skewed triangle", seed));
+                   InstanceLabel("skewed triangle", seed), simd);
   // One empty input: the join is empty at every parallelism level.
   CheckMultiway<S>({RandomRelation<S>({0, 1}, n, 250, seed + 10),
                     Relation<S>{Schema({1, 2})},
                     RandomRelation<S>({0, 2}, n, 250, seed + 11)},
-                   InstanceLabel("empty side", seed));
+                   InstanceLabel("empty side", seed), simd);
   // Single key run at the outermost variable: one morsel, serial semantics.
   {
     RelationBuilder<S> br{Schema({0, 1})}, bt{Schema({0, 2})};
@@ -94,13 +102,13 @@ void RunSemiringSuite(uint64_t seed) {
     }
     CheckMultiway<S>({br.Build(), RandomRelation<S>({1, 2}, n, 512, seed + 12),
                       bt.Build()},
-                     InstanceLabel("single top key run", seed));
+                     InstanceLabel("single top key run", seed), simd);
   }
   // Out-of-order schema: the permutation pass must rebuild the trie view.
   CheckMultiway<S>({RandomRelation<S>({0, 1}, n, 250, seed + 13),
                     RandomRelation<S>({1, 2}, n, 250, seed + 14),
                     RandomRelation<S>({2, 0}, n, 250, seed + 15)},
-                   InstanceLabel("permuted schema", seed));
+                   InstanceLabel("permuted schema", seed), simd);
 }
 
 TEST(MultiwayJoin, NaturalSemiring) { RunSemiringSuite<NaturalSemiring>(11); }
@@ -112,10 +120,9 @@ TEST(MultiwayJoin, Gf2Semiring) { RunSemiringSuite<Gf2Semiring>(44); }
 
 // The SIMD frontier/seek kernels are pure mechanism: forcing the scalar
 // bodies must reproduce the vector path's bytes on the full semiring suite
-// (the vector leg runs in the tests above under the default toggle).
+// (the vector leg runs in the tests above under the default switch).
 TEST(MultiwayJoin, ScalarModeBitIdentical) {
-  ScopedSimdMode off(false);
-  RunSemiringSuite<CountingSemiring>(22);
+  RunSemiringSuite<CountingSemiring>(22, /*simd=*/false);
 }
 
 TEST(MultiwayJoin, SingleRelationIsItsTrieView) {

@@ -166,6 +166,35 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
           elim1));
     EXPECT_EQ(ctx.join.rows_out, serial.join.rows_out);
   }
+  // Every core again, on a context whose modes differ from the defaults:
+  // workers take the owner's encoding and SIMD switch at every fork. The
+  // bytes still match the serial run, the outputs are stored under the
+  // forced encoding, and with the switch off no worker retires a vector
+  // block.
+  ExecContext forced;
+  forced.parallelism = hw;
+  const bool use_for = DefaultEncodingMode() != EncodingMode::kForceFor;
+  forced.encoding =
+      use_for ? EncodingMode::kForceFor : EncodingMode::kForceDict;
+  forced.simd = false;
+  const ColumnEncoding want =
+      use_for ? ColumnEncoding::kFor : ColumnEncoding::kDict;
+  SCOPED_TRACE(std::string(what) + " @ every core, forced modes");
+  const Relation<S> joinf = Join(left, right, &forced);
+  EXPECT_TRUE(BytesEqual(joinf, join1));
+  if (!joinf.empty()) {
+    EXPECT_EQ(joinf.col_encoding(0), want);
+  }
+  if (left.arity() > 1) {
+    const Relation<S> elimf =
+        Eliminate(left, {left.schema().var(left.arity() - 1)},
+                  {VarOp::kSemiringSum}, &forced);
+    EXPECT_TRUE(BytesEqual(elimf, elim1));
+    if (!elimf.empty()) {
+      EXPECT_EQ(elimf.col_encoding(0), want);
+    }
+  }
+  EXPECT_EQ(forced.join.simd_blocks, 0);
 }
 
 template <CommutativeSemiring S>

@@ -404,22 +404,29 @@ TEST(ProtocolCosts, PinnedOnFixedInstances) {
   AsyncProtocolOptions async;
   async.stream.page_rows = 4;
   async.stream.node_page_budget = 2;
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  // The counts price columns as shipped, so every relation of the runs —
+  // inputs, intermediates, reassembled pages — is pinned plain.
+  ExecContext plain;
+  plain.encoding = EncodingMode::kPlain;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     Rng rng(90);
     std::vector<Relation<NaturalSemiring>> rels;
-    for (int e = 0; e < c.h.num_edges(); ++e)
+    for (int e = 0; e < c.h.num_edges(); ++e) {
       rels.push_back(RandomRelation<NaturalSemiring>(c.h.edge(e), 16, 6, &rng));
+      rels.back().DecodeAll();
+    }
     DistInstance<NaturalSemiring> inst;
     inst.query = MakeFaqSS<NaturalSemiring>(c.h, std::move(rels), c.free_vars);
     inst.topology = c.g;
     inst.owners = RoundRobinOwners(c.h.num_edges(), c.g.num_nodes());
     inst.sink = c.sink;
-    ExpectLedger(RunTrivialProtocol(inst), c.want.trivial);
-    ExpectLedger(RunCoreForestProtocol(inst), c.want.forest);
-    ExpectEvent(RunTrivialProtocolAsync(inst, async), c.want.trivial_async);
-    ExpectEvent(RunCoreForestProtocolAsync(inst, async), c.want.forest_async);
+    ExpectLedger(RunTrivialProtocol(inst, {}, &plain), c.want.trivial);
+    ExpectLedger(RunCoreForestProtocol(inst, {}, &plain), c.want.forest);
+    ExpectEvent(RunTrivialProtocolAsync(inst, async, &plain),
+                c.want.trivial_async);
+    ExpectEvent(RunCoreForestProtocolAsync(inst, async, &plain),
+                c.want.forest_async);
   }
 }
 

@@ -3,7 +3,7 @@
 // Every suite that needs "a random canonical relation" or "a random FAQ
 // query over shape H" builds it here, from an explicit seed, so
 //   * the same (shape, size, domain, seed) tuple reproduces the same bytes
-//     in every suite and under every encoding mode in scope, and
+//     in every suite and under every encoding mode, and
 //   * failures are replayable: wrap checks in
 //     SCOPED_TRACE(InstanceLabel("what", seed)) and the seed appears in the
 //     failure output.
@@ -23,6 +23,7 @@
 #include "faq/query.h"
 #include "hypergraph/hypergraph.h"
 #include "ivm/delta.h"
+#include "relation/exec.h"
 #include "relation/relation.h"
 #include "util/rng.h"
 
@@ -44,14 +45,21 @@ typename S::Value TestAnnot(uint64_t k) {
   }
 }
 
+/// An ExecContext whose relations are stored under encoding mode `m`: how a
+/// test pins the encoding its check is about, whatever TOPOFAQ_ENCODING says.
+struct EncodingContext : ExecContext {
+  explicit EncodingContext(EncodingMode m) { encoding = m; }
+};
+
 /// Random canonical relation over `vars`: n draws from [0, dom) per column,
-/// duplicate rows ⊕-merged by Canonicalize under whatever encoding mode is
-/// in scope. skew > 0 squashes the leading column's domain so key runs get
-/// long and unequal — the distribution dictionaries, run-aware kernels, and
-/// morsel-cut alignment pay off on.
+/// duplicate rows ⊕-merged by Canonicalize under `ctx`'s encoding mode (the
+/// default context's for nullptr). skew > 0 squashes the leading column's
+/// domain so key runs get long and unequal — the distribution dictionaries,
+/// run-aware kernels, and morsel-cut alignment pay off on.
 template <CommutativeSemiring S>
 Relation<S> RandomRelation(std::vector<VarId> vars, size_t n, uint64_t dom,
-                           uint64_t seed, int skew = 0) {
+                           uint64_t seed, int skew = 0,
+                           ExecContext* ctx = nullptr) {
   Rng rng(seed);
   Relation<S> r{Schema(std::move(vars))};
   std::vector<Value> row(r.arity());
@@ -63,21 +71,31 @@ Relation<S> RandomRelation(std::vector<VarId> vars, size_t n, uint64_t dom,
     }
     r.Add(row, TestAnnot<S>(rng.NextU64(1 << 20)));
   }
-  r.Canonicalize();
+  r.Canonicalize(ctx);
+  return r;
+}
+
+/// A copy of canonical `r` stored under encoding mode `m` (kPlain decodes).
+template <CommutativeSemiring S>
+Relation<S> Recode(Relation<S> r, EncodingMode m) {
+  EncodingContext ctx(m);
+  r.DecodeAll();
+  r.EncodeColumns(&ctx);
   return r;
 }
 
 /// Random FAQ-SS query over shape `h`: one RandomRelation per hyperedge,
-/// seeded seed, seed+1, ... in edge order.
+/// seeded seed, seed+1, ... in edge order, encoded under `ctx`'s mode.
 template <CommutativeSemiring S>
 FaqQuery<S> RandomQuery(const Hypergraph& h, size_t tuples, uint64_t dom,
                         uint64_t seed, std::vector<VarId> free_vars,
-                        int skew = 0) {
+                        int skew = 0, ExecContext* ctx = nullptr) {
   std::vector<Relation<S>> rels;
   rels.reserve(h.num_edges());
   for (int e = 0; e < h.num_edges(); ++e)
     rels.push_back(RandomRelation<S>(h.edge(e), tuples, dom,
-                                     seed + static_cast<uint64_t>(e), skew));
+                                     seed + static_cast<uint64_t>(e), skew,
+                                     ctx));
   return MakeFaqSS<S>(h, std::move(rels), std::move(free_vars));
 }
 

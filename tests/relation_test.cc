@@ -668,9 +668,9 @@ TEST(ConcatPieces, OutOfOrderPiecesFallBackToCanonicalize) {
 // or cancel, and encoded columns where every mutation must decode first.
 
 TEST(DeltaWorkload, RepeatedZeroRunCompactionMatchesRebuild) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  EncodingContext plain(EncodingMode::kPlain);
   const uint64_t seed = 881;
-  NRel r = RandomRelation<NaturalSemiring>({0, 1}, 5000, 48, seed, 2);
+  NRel r = RandomRelation<NaturalSemiring>({0, 1}, 5000, 48, seed, 2, &plain);
   for (int round = 0; round < 6 && r.size() > 100; ++round) {
     SCOPED_TRACE(InstanceLabel("round " + std::to_string(round), seed));
     // Zero interleaved runs of rows — what a delete delta leaves behind —
@@ -688,11 +688,12 @@ TEST(DeltaWorkload, RepeatedZeroRunCompactionMatchesRebuild) {
       for (size_t j = 0; j < row.size(); ++j) row[j] = r.at(i, j);
       expect.Add(row, r.annot(i));
     }
-    expect.Canonicalize();
+    expect.Canonicalize(&plain);
     for (size_t i = 0; i < r.size(); ++i)
       if (dropped(i)) r.set_annot(i, 0);
-    r.Compact();
+    r.Compact(&plain);
     EXPECT_TRUE(r.canonical());
+    EXPECT_FALSE(r.any_encoded());
     EXPECT_TRUE(BytesEqual(r, expect));
   }
 }
@@ -703,37 +704,28 @@ TEST(DeltaWorkload, CompactOnEncodedColumnsDecodesFirst) {
   // writing, and Compact re-encodes — every round, bytes must match the
   // all-plain twin.
   const uint64_t seed = 883;
+  EncodingContext plain(EncodingMode::kPlain);
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
     SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)));
-    NRel oracle, enc;
-    {
-      ScopedEncodingMode scope(EncodingMode::kPlain);
-      oracle = RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1);
-    }
-    {
-      ScopedEncodingMode scope(m);
-      enc = RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1);
-      ASSERT_TRUE(enc.any_encoded());
-    }
+    EncodingContext force(m);
+    NRel oracle =
+        RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1, &plain);
+    NRel enc =
+        RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1, &force);
+    ASSERT_TRUE(enc.any_encoded());
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE(InstanceLabel("round " + std::to_string(round), seed));
       ASSERT_EQ(enc.size(), oracle.size());
       auto dropped = [&](size_t i) {
         return i % 5 == static_cast<size_t>(round) % 5;
       };
-      {
-        ScopedEncodingMode scope(EncodingMode::kPlain);
-        for (size_t i = 0; i < oracle.size(); ++i)
-          if (dropped(i)) oracle.set_annot(i, 0);
-        oracle.Compact();
-      }
-      {
-        ScopedEncodingMode scope(m);
-        for (size_t i = 0; i < enc.size(); ++i)
-          if (dropped(i)) enc.set_annot(i, 0);
-        enc.Compact();
-        EXPECT_TRUE(enc.any_encoded());  // forced modes re-encode
-      }
+      for (size_t i = 0; i < oracle.size(); ++i)
+        if (dropped(i)) oracle.set_annot(i, 0);
+      oracle.Compact(&plain);
+      for (size_t i = 0; i < enc.size(); ++i)
+        if (dropped(i)) enc.set_annot(i, 0);
+      enc.Compact(&force);
+      EXPECT_TRUE(enc.any_encoded());  // forced modes re-encode
       EXPECT_TRUE(enc.canonical());
       EXPECT_TRUE(BytesEqual(enc, oracle));  // BytesEqual decodes
     }
@@ -742,9 +734,11 @@ TEST(DeltaWorkload, CompactOnEncodedColumnsDecodesFirst) {
 
 /// Cuts `base` into key-ordered pieces at `cuts` (row indexes), splitting
 /// each cut row's annotation across the two adjacent pieces when it can be
-/// split into two nonzero halves (a delta splice's boundary shape).
+/// split into two nonzero halves (a delta splice's boundary shape). The
+/// pieces are built under `ctx`'s encoding mode.
 std::vector<NRel> SplitWithBoundaryOverlap(const NRel& base,
-                                           const std::vector<size_t>& cuts) {
+                                           const std::vector<size_t>& cuts,
+                                           ExecContext* ctx) {
   std::vector<NRel> pieces;
   std::vector<Value> row(base.arity());
   size_t begin = 0;
@@ -764,16 +758,17 @@ std::vector<NRel> SplitWithBoundaryOverlap(const NRel& base,
           c < cuts.size() && i == end - 1 && base.annot(i) >= 2;
       b.Append(row, split_here ? base.annot(i) - 1 : base.annot(i));
     }
-    pieces.push_back(b.Build());
+    pieces.push_back(b.Build(ctx));
     begin = end;
   }
   return pieces;
 }
 
 TEST(DeltaWorkload, RepeatedBoundarySplittingSplicesReassembleTheBytes) {
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  EncodingContext plain(EncodingMode::kPlain);
   const uint64_t seed = 885;
-  NRel base = RandomRelation<NaturalSemiring>({0, 1}, 3000, 100, seed);
+  NRel base =
+      RandomRelation<NaturalSemiring>({0, 1}, 3000, 100, seed, 0, &plain);
   Rng rng(seed + 1);
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE(InstanceLabel("round " + std::to_string(round), seed));
@@ -782,9 +777,10 @@ TEST(DeltaWorkload, RepeatedBoundarySplittingSplicesReassembleTheBytes) {
       cuts.push_back(static_cast<size_t>(c) + 1);
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    NRel out =
-        NRel::ConcatPieces(base.schema(), SplitWithBoundaryOverlap(base, cuts));
+    NRel out = NRel::ConcatPieces(
+        base.schema(), SplitWithBoundaryOverlap(base, cuts, &plain), &plain);
     EXPECT_TRUE(out.canonical());
+    EXPECT_FALSE(out.any_encoded());
     EXPECT_TRUE(BytesEqual(out, base));
     base = std::move(out);  // re-splice the splice: repeated application
   }
@@ -795,22 +791,16 @@ TEST(DeltaWorkload, EncodedPiecesSpliceBitIdenticalToPlain) {
   // stream transport lands encoded): ConcatPieces decodes to splice and the
   // output bytes must match the all-plain splice of the same pieces.
   const uint64_t seed = 887;
-  NRel base;
-  {
-    ScopedEncodingMode scope(EncodingMode::kPlain);
-    base = RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1);
-  }
+  EncodingContext plain(EncodingMode::kPlain);
+  NRel base =
+      RandomRelation<NaturalSemiring>({0, 1}, 4000, 64, seed, 1, &plain);
   const std::vector<size_t> cuts = {base.size() / 3, (2 * base.size()) / 3};
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
     SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)));
-    std::vector<NRel> pieces;
-    {
-      ScopedEncodingMode scope(m);
-      pieces = SplitWithBoundaryOverlap(base, cuts);
-      ASSERT_TRUE(pieces[0].any_encoded());
-    }
-    ScopedEncodingMode scope(EncodingMode::kPlain);
-    NRel out = NRel::ConcatPieces(base.schema(), std::move(pieces));
+    EncodingContext force(m);
+    std::vector<NRel> pieces = SplitWithBoundaryOverlap(base, cuts, &force);
+    ASSERT_TRUE(pieces[0].any_encoded());
+    NRel out = NRel::ConcatPieces(base.schema(), std::move(pieces), &plain);
     EXPECT_TRUE(out.canonical());
     EXPECT_FALSE(out.any_encoded());
     EXPECT_TRUE(BytesEqual(out, base));
@@ -822,10 +812,10 @@ TEST(DeltaWorkload, CancellingSpliceDropsRowsAndCanEmptyTheRelation) {
   // (1 XOR 1) and must vanish from the splice; splicing a relation against
   // a full copy of itself empties it — the delta-that-empties-a-relation
   // storage case.
-  ScopedEncodingMode plain(EncodingMode::kPlain);
+  EncodingContext plain(EncodingMode::kPlain);
   using GRel = Relation<Gf2Semiring>;
   const uint64_t seed = 889;
-  GRel base = RandomRelation<Gf2Semiring>({0, 1}, 2000, 150, seed);
+  GRel base = RandomRelation<Gf2Semiring>({0, 1}, 2000, 150, seed, 0, &plain);
   ASSERT_GT(base.size(), 10u);
 
   const size_t cut = base.size() / 2;
@@ -837,20 +827,20 @@ TEST(DeltaWorkload, CancellingSpliceDropsRowsAndCanEmptyTheRelation) {
     if (i >= cut - 1) b1.Append(row, 1);  // row cut-1 lands in both pieces
   }
   std::vector<GRel> pieces;
-  pieces.push_back(b0.Build());
-  pieces.push_back(b1.Build());
-  GRel out = GRel::ConcatPieces(base.schema(), std::move(pieces));
+  pieces.push_back(b0.Build(&plain));
+  pieces.push_back(b1.Build(&plain));
+  GRel out = GRel::ConcatPieces(base.schema(), std::move(pieces), &plain);
   EXPECT_TRUE(out.canonical());
   GRel expect = base;
   expect.set_annot(cut - 1, 0);
-  expect.Compact();
+  expect.Compact(&plain);
   EXPECT_TRUE(BytesEqual(out, expect));
 
   // Full self-cancellation: every row pairs off, the result is empty.
   std::vector<GRel> both;
   both.push_back(out);
   both.push_back(out);
-  GRel empty = GRel::ConcatPieces(out.schema(), std::move(both));
+  GRel empty = GRel::ConcatPieces(out.schema(), std::move(both), &plain);
   EXPECT_TRUE(empty.empty());
   EXPECT_TRUE(empty.canonical());
 }

@@ -48,8 +48,10 @@ T RandomKey(Rng* rng, const std::vector<T>& v, uint64_t dom) {
   }
 }
 
+// The differential fuzzes run the vector bodies wherever the host has them.
+const bool kVec = simd::Available(true);
+
 TEST(SimdKernelTest, LowerBoundMatchesScalar) {
-  ScopedSimdMode on(true);
   Rng rng(2024);
   for (int trial = 0; trial < 4000; ++trial) {
     const uint64_t dom = 1 + rng.NextU64(64);
@@ -61,18 +63,19 @@ TEST(SimdKernelTest, LowerBoundMatchesScalar) {
     const size_t lo64 = a64.empty() ? 0 : rng.NextU64(a64.size());
     const size_t lo32 = a32.empty() ? 0 : rng.NextU64(a32.size());
     EXPECT_EQ(
-        simd::LowerBoundU64(a64.data(), lo64, a64.size(), k64, strict, nullptr),
+        simd::LowerBoundU64(kVec, a64.data(), lo64, a64.size(), k64, strict,
+                            nullptr),
         simd::ScalarLowerBoundU64(a64.data(), lo64, a64.size(), k64, strict))
         << "trial " << trial;
     EXPECT_EQ(
-        simd::LowerBoundU32(a32.data(), lo32, a32.size(), k32, strict, nullptr),
+        simd::LowerBoundU32(kVec, a32.data(), lo32, a32.size(), k32, strict,
+                            nullptr),
         simd::ScalarLowerBoundU32(a32.data(), lo32, a32.size(), k32, strict))
         << "trial " << trial;
   }
 }
 
 TEST(SimdKernelTest, AdvanceMatchesScalar) {
-  ScopedSimdMode on(true);
   Rng rng(2025);
   for (int trial = 0; trial < 4000; ++trial) {
     const uint64_t dom = 1 + rng.NextU64(64);
@@ -80,8 +83,9 @@ TEST(SimdKernelTest, AdvanceMatchesScalar) {
     const bool strict = (trial & 1) != 0;
     const Value key = RandomKey(&rng, a, dom);
     const size_t i = a.empty() ? 0 : rng.NextU64(a.size() + 1);
-    EXPECT_EQ(simd::AdvanceU64(a.data(), i, a.size(), key, strict, nullptr),
-              simd::ScalarAdvanceU64(a.data(), i, a.size(), key, strict))
+    EXPECT_EQ(
+        simd::AdvanceU64(kVec, a.data(), i, a.size(), key, strict, nullptr),
+        simd::ScalarAdvanceU64(a.data(), i, a.size(), key, strict))
         << "trial " << trial;
   }
 }
@@ -91,7 +95,6 @@ TEST(SimdKernelTest, AdvanceMatchesScalar) {
 /// two-pointer walk; on kExhausted both must have drained a side (the other
 /// side's position is unspecified — see Frontier::Kind).
 TEST(SimdKernelTest, NextMatchUnlimitedBudgetIsExact) {
-  ScopedSimdMode on(true);
   Rng rng(2027);
   const size_t unlimited = static_cast<size_t>(1) << 30;
   for (int trial = 0; trial < 2000; ++trial) {
@@ -100,8 +103,9 @@ TEST(SimdKernelTest, NextMatchUnlimitedBudgetIsExact) {
     const auto b = RandomSorted<Value>(&rng, 70, dom);
     size_t i = 0, j = 0;
     for (;;) {
-      const simd::Frontier fv = simd::NextMatchU64(
-          a.data(), i, a.size(), b.data(), j, b.size(), unlimited, nullptr);
+      const simd::Frontier fv =
+          simd::NextMatchU64(kVec, a.data(), i, a.size(), b.data(), j,
+                             b.size(), unlimited, nullptr);
       const simd::Frontier fs = simd::ScalarNextMatchU64(
           a.data(), i, a.size(), b.data(), j, b.size(), unlimited);
       ASSERT_EQ(fv.kind, fs.kind) << "trial " << trial;
@@ -150,7 +154,6 @@ std::vector<std::pair<Value, Value>> DriveToFixpoint(
 }
 
 TEST(SimdKernelTest, NextMatchCappedBudgetSameMatches) {
-  ScopedSimdMode on(true);
   Rng rng(2028);
   for (int trial = 0; trial < 1000; ++trial) {
     const uint64_t dom = 1 + rng.NextU64(200);
@@ -161,7 +164,7 @@ TEST(SimdKernelTest, NextMatchCappedBudgetSameMatches) {
         a, b, cap,
         [](const Value* x, size_t i, size_t xn, const Value* y, size_t j,
            size_t yn, size_t mb) {
-          return simd::NextMatchU64(x, i, xn, y, j, yn, mb, nullptr);
+          return simd::NextMatchU64(kVec, x, i, xn, y, j, yn, mb, nullptr);
         });
     const auto ms = DriveToFixpoint(
         a, b, cap,
@@ -174,7 +177,6 @@ TEST(SimdKernelTest, NextMatchCappedBudgetSameMatches) {
 }
 
 TEST(SimdKernelTest, DecodeWindowMatchesDecodeInto) {
-  ScopedSimdMode on(true);
   Rng rng(2029);
   for (int trial = 0; trial < 800; ++trial) {
     // Domain size sweeps the code width across the quad-unpack boundary
@@ -194,11 +196,11 @@ TEST(SimdKernelTest, DecodeWindowMatchesDecodeInto) {
       const size_t end = begin + rng.NextU64(n - begin + 1);
       std::vector<Value> want(end - begin), got(end - begin);
       e->DecodeInto(begin, end, want.data());
-      simd::DecodeWindowU64(*e, begin, end, got.data(), nullptr);
+      simd::DecodeWindowU64(kVec, *e, begin, end, got.data(), nullptr);
       EXPECT_EQ(want, got) << "trial " << trial << " width " << e->width;
       ASSERT_TRUE(simd::FitsU32(*e));  // dom < 2^32 throughout
       std::vector<uint32_t> got32(end - begin);
-      simd::DecodeWindowU32(*e, begin, end, got32.data(), nullptr);
+      simd::DecodeWindowU32(kVec, *e, begin, end, got32.data(), nullptr);
       for (size_t t = 0; t < want.size(); ++t)
         ASSERT_EQ(want[t], static_cast<Value>(got32[t]))
             << "trial " << trial << " width " << e->width;
@@ -219,20 +221,26 @@ TEST(SimdKernelTest, FitsU32Boundaries) {
 }
 
 TEST(SimdKernelTest, ScalarModeForcesScalarBodies) {
-  ScopedSimdMode off(false);
-  EXPECT_FALSE(simd::Available());
+  ExecContext off;
+  off.simd = false;
+  const bool vec = simd::Available(off.simd);
+  EXPECT_FALSE(vec);
   Rng rng(2030);
   const auto a = RandomSorted<Value>(&rng, 64, 40);
-  // With the toggle off the dispatchers run the scalar twins verbatim.
+  // With the switch off the dispatchers run the scalar twins verbatim and
+  // retire no vector block.
+  int64_t blocks = 0;
   for (const bool strict : {false, true}) {
     for (const Value key : {Value{0}, Value{17}, Value{60}}) {
-      EXPECT_EQ(simd::LowerBoundU64(a.data(), 0, a.size(), key, strict,
-                                    nullptr),
+      EXPECT_EQ(simd::LowerBoundU64(vec, a.data(), 0, a.size(), key, strict,
+                                    &blocks),
                 simd::ScalarLowerBoundU64(a.data(), 0, a.size(), key, strict));
-      EXPECT_EQ(simd::AdvanceU64(a.data(), 0, a.size(), key, strict, nullptr),
-                simd::ScalarAdvanceU64(a.data(), 0, a.size(), key, strict));
+      EXPECT_EQ(
+          simd::AdvanceU64(vec, a.data(), 0, a.size(), key, strict, &blocks),
+          simd::ScalarAdvanceU64(a.data(), 0, a.size(), key, strict));
     }
   }
+  EXPECT_EQ(blocks, 0);
 }
 
 /// The end-to-end contract: the multiway join's relation output is
@@ -244,38 +252,33 @@ TEST(SimdKernelTest, MultiwayBitIdenticalSimdOnOff) {
   for (const EncodingMode mode :
        {EncodingMode::kAuto, EncodingMode::kPlain, EncodingMode::kForceDict,
         EncodingMode::kForceFor}) {
-    ScopedEncodingMode em(mode);
+    EncodingContext em(mode);
     for (const uint64_t seed : {7u, 8u}) {
       std::vector<Relation<S>> rels;
       for (int e = 0; e < tri.num_edges(); ++e)
         rels.push_back(RandomRelation<S>(tri.edge(e), 6000, 700,
                                          seed + static_cast<uint64_t>(e),
-                                         /*skew=*/2));
+                                         /*skew=*/2, &em));
       for (const int par : {1, 3}) {
         SCOPED_TRACE(InstanceLabel("triangle mode=" +
                                        std::to_string(static_cast<int>(mode)) +
                                        " par=" + std::to_string(par),
                                    seed));
-        ExecContext con;
-        con.parallelism = par;
-        ExecContext coff;
-        coff.parallelism = par;
-        Relation<S> ron, roff;
-        {
-          ScopedSimdMode on(true);
-          ron = MultiwayJoin(rels, &con);
-        }
-        {
-          ScopedSimdMode off(false);
-          roff = MultiwayJoin(rels, &coff);
-        }
+        EncodingContext con(mode), coff(mode);
+        con.parallelism = coff.parallelism = par;
+        con.simd = true;
+        coff.simd = false;
+        const Relation<S> ron = MultiwayJoin(rels, &con);
+        const Relation<S> roff = MultiwayJoin(rels, &coff);
         EXPECT_TRUE(BytesEqual(ron, roff));
-        // The forced-scalar leg must record its fallbacks; the vector leg
-        // must have retired blocks whenever it was actually available.
-        if (simd::Available()) {
+        // The vector leg must have retired blocks (or counted its
+        // fallbacks) whenever the host has the kernels; the scalar leg
+        // never retires a block.
+        if (simd::Available(true)) {
           EXPECT_GT(con.multiway.simd_blocks + con.multiway.scalar_fallbacks,
                     0);
         }
+        EXPECT_EQ(coff.multiway.simd_blocks, 0);
       }
     }
   }
