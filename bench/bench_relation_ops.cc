@@ -27,14 +27,26 @@
 //    encoded vs plain inputs and must stay ~1x (encodings never slow the
 //    hot paths). Rows carry bytes_resident so the memory effect is in the
 //    committed baseline, not just the timings.
+//  * canonicalize / regroup: the kernel's permutation sort (relation/
+//    sort_perm.h) against the multi-column comparator std::sort it
+//    replaced, kept below as the reference; both permutations are CHECKed
+//    equal. canonicalize is Canonicalize's row sort (detail::SortRowPerm)
+//    on a 3-column relation with serving-sized domains (2·sqrt(n), as in
+//    perfbench's inputs); regroup is KeyOrderPerm on the path query's
+//    Eliminate shape — 4 columns of 11-bit values grouped by (A, D). Both
+//    run at their fixed sizes under --quick too, so the CI floors always
+//    have rows to gate.
 //
 // Flags: --quick (CI sizes), --parallelism N / -j N (default: every core),
 // --out PATH (JSON destination). Each bench runs the kernel at parallelism 1
 // and at the requested parallelism and CHECKs the outputs byte-identical.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -43,6 +55,7 @@
 #include "relation/exec.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
+#include "relation/sort_perm.h"
 #include "tests/random_instances.h"
 #include "tests/reference_ops.h"
 #include "util/rng.h"
@@ -329,6 +342,97 @@ void BenchTriangleSkew(std::vector<Row>* rows, size_t n, int reps) {
   Report(rows, "triangle_skew", n, out.size(), k1, kp, h, resident);
 }
 
+/// Times `fn(&ctx, &perm)` at parallelism 1 and at g_parallelism, checks
+/// both permutations equal `want`, and returns {serial_ms, parallel_ms}.
+template <typename Fn>
+std::pair<double, double> TimePermSort(int reps, const char* what,
+                                       const std::vector<size_t>& want,
+                                       Fn&& fn) {
+  double ms[2] = {0, 0};
+  for (int leg = 0; leg < 2; ++leg) {
+    ExecContext cx;
+    cx.parallelism = leg == 0 ? 1 : g_parallelism;
+    std::vector<size_t> perm;
+    ms[leg] = TimeMs(reps, [&] { fn(&cx, &perm); });
+    TOPOFAQ_CHECK_MSG(perm == want, what);
+  }
+  return {ms[0], ms[1]};
+}
+
+/// The comparator permutation sort the packed sort replaced: lexicographic
+/// over `cols[0, k)` (same-column compares, codes on encoded columns), ties
+/// broken by row id, one std::sort.
+template <typename A>
+std::vector<size_t> ComparatorSortPerm(const typename A::Col* cols, size_t k,
+                                       size_t n) {
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::sort(perm.begin(), perm.end(), [cols, k](size_t x, size_t y) {
+    for (size_t t = 0; t < k; ++t) {
+      const int c = A::CompareAt(cols[t], x, y);
+      if (c != 0) return c < 0;
+    }
+    return x < y;
+  });
+  return perm;
+}
+
+/// canonicalize: Canonicalize's row sort on an unsorted 3-column relation.
+void BenchCanonicalize(std::vector<Row>* rows, size_t n, int reps) {
+  const uint64_t dom =
+      std::max<uint64_t>(16, 2 * static_cast<uint64_t>(std::sqrt(double(n))));
+  Rng rng(83 + n);
+  NRel r{Schema({0, 1, 2})};
+  std::vector<Value> row(3);
+  for (size_t i = 0; i < n; ++i) {
+    for (Value& v : row) v = rng.NextU64(dom);
+    r.Add(row, rng.NextU64(7) + 1);
+  }
+  const std::vector<std::vector<Value>>& cols = r.columns();
+  std::vector<const Value*> cp;
+  for (const auto& c : cols) cp.push_back(c.data());
+  std::vector<size_t> want;
+  const double h = TimeMs(reps, [&] {
+    want = ComparatorSortPerm<PlainAccess>(cp.data(), cp.size(), r.size());
+  });
+  auto [k1, kp] = TimePermSort(
+      reps, "canonicalize: packed sort != comparator sort", want,
+      [&](ExecContext* cx, std::vector<size_t>* perm) {
+        detail::SortRowPerm(cols, r.size(), perm, cx);
+      });
+  Report(rows, "canonicalize", n, r.size(), k1, kp, h);
+}
+
+/// regroup: KeyOrderPerm by (A, D) over a canonical (A, B, C, D) relation
+/// of 11-bit values, stored under the default encoding policy.
+template <typename A>
+void BenchRegroupOn(std::vector<Row>* rows, size_t n, const NRel& r,
+                    int reps) {
+  const std::vector<int> pos{0, 3};
+  std::vector<typename A::Col> kc;
+  internal::GatherCols<A>(r, pos, &kc);
+  std::vector<size_t> want;
+  const double h = TimeMs(reps, [&] {
+    want = ComparatorSortPerm<A>(kc.data(), kc.size(), r.size());
+  });
+  auto [k1, kp] = TimePermSort(
+      reps, "regroup: packed sort != comparator sort", want,
+      [&](ExecContext* cx, std::vector<size_t>* perm) {
+        OpStats st;
+        internal::KeyOrderPerm<A>(r, pos, *cx, perm, &st);
+      });
+  Report(rows, "regroup", n, r.size(), k1, kp, h,
+         r.ResidentKeyBytes());
+}
+
+void BenchRegroup(std::vector<Row>* rows, size_t n, int reps) {
+  const NRel r = RandomRel({0, 1, 2, 3}, n, 2048, 89 + n);
+  if (r.any_encoded())
+    BenchRegroupOn<EncodedAccess>(rows, n, r, reps);
+  else
+    BenchRegroupOn<PlainAccess>(rows, n, r, reps);
+}
+
 /// probe: gather full rows at random row ids — the row-major-friendly
 /// pattern, reported honestly (columnar pays one line per column here).
 void BenchProbe(std::vector<Row>* rows, size_t n, int reps) {
@@ -419,6 +523,10 @@ int main(int argc, char** argv) {
       if (n == 100000) topofaq::BenchTriangleSkew(&rows, n, reps);
     }
   }
+  // Fixed sizes, --quick included: the CI speedup floors gate these rows.
+  topofaq::BenchCanonicalize(&rows, 100000, 3);
+  topofaq::BenchCanonicalize(&rows, 1000000, 3);
+  topofaq::BenchRegroup(&rows, 1000000, 3);
   topofaq::WriteJson(rows, out_path);
   return 0;
 }

@@ -228,21 +228,39 @@ Relation<S> NetChange(const Relation<S>& base, const Relation<S>& removes,
   return c;
 }
 
-/// Applies one delta to a base relation: canonicalize both halves, erase,
-/// merge. This is the single base-update path — the standing query and the
-/// full-recompute oracle both go through it, so their bases stay
+/// The check step of a base update: canonicalizes both halves of `d` and
+/// checks their schemas against `base`. Ring-mode maintenance computes its
+/// NetChange between this step and UpdateBase.
+template <CommutativeSemiring S>
+Status CheckDelta(const Relation<S>& base, Delta<S>* d,
+                  ExecContext* ctx = nullptr) {
+  d->removes.Canonicalize(ctx);
+  d->adds.Canonicalize(ctx);
+  if (!d->removes.empty() && !(d->removes.schema() == base.schema()))
+    return Status::InvalidArgument("delta removes schema != base schema");
+  if (!d->adds.empty() && !(d->adds.schema() == base.schema()))
+    return Status::InvalidArgument("delta adds schema != base schema");
+  return Status::Ok();
+}
+
+/// The update step of a base update: erase, then merge. `d` must have
+/// passed CheckDelta against `*base`.
+template <CommutativeSemiring S>
+void UpdateBase(Relation<S>* base, const Delta<S>& d,
+                ExecContext* ctx = nullptr) {
+  EraseMatching(base, d.removes, ctx);
+  AddInto(base, d.adds, ctx);
+}
+
+/// Applies one delta to a base relation: CheckDelta, then UpdateBase. These
+/// two steps are the single base-update path — the standing query and the
+/// full-recompute oracle both go through them, so their bases stay
 /// byte-identical by construction.
 template <CommutativeSemiring S>
 Status ApplyDeltaToRelation(Relation<S>* base, Delta<S> d,
                             ExecContext* ctx = nullptr) {
-  d.removes.Canonicalize(ctx);
-  d.adds.Canonicalize(ctx);
-  if (!d.removes.empty() && !(d.removes.schema() == base->schema()))
-    return Status::InvalidArgument("delta removes schema != base schema");
-  if (!d.adds.empty() && !(d.adds.schema() == base->schema()))
-    return Status::InvalidArgument("delta adds schema != base schema");
-  EraseMatching(base, d.removes, ctx);
-  AddInto(base, d.adds, ctx);
+  if (Status s = CheckDelta(*base, &d, ctx); !s.ok()) return s;
+  UpdateBase(base, d, ctx);
   return Status::Ok();
 }
 

@@ -130,12 +130,7 @@ class StandingQuery {
       return Status::InvalidArgument("delta targets unknown relation " +
                                      std::to_string(relation_id));
     Relation<S>& base = q_.relations[static_cast<size_t>(relation_id)];
-    d.removes.Canonicalize(ctx);
-    d.adds.Canonicalize(ctx);
-    if (!d.removes.empty() && !(d.removes.schema() == base.schema()))
-      return Status::InvalidArgument("delta removes schema != base schema");
-    if (!d.adds.empty() && !(d.adds.schema() == base.schema()))
-      return Status::InvalidArgument("delta adds schema != base schema");
+    if (Status s = CheckDelta(base, &d, ctx); !s.ok()) return s;
     if (d.empty()) return Status::Ok();
     ++stats_.deltas_applied;
 
@@ -145,16 +140,14 @@ class StandingQuery {
         // Net change first (it reads the pre-delta annotations), then the
         // shared base update, then push the change up the root path.
         Relation<S> change = NetChange(base, d.removes, d.adds, ctx);
-        EraseMatching(&base, d.removes, ctx);
-        AddInto(&base, d.adds, ctx);
+        UpdateBase(&base, d, ctx);
         ++stats_.ring_deltas;
         if (change.empty()) return Status::Ok();
         PropagateRing(std::move(change), node, ctx);
         return Status::Ok();
       }
     }
-    EraseMatching(&base, d.removes, ctx);
-    AddInto(&base, d.adds, ctx);
+    UpdateBase(&base, d, ctx);
     ++stats_.recompute_deltas;
     std::vector<char> dirty(msgs_.size(), 0);
     for (int v = node; v >= 0; v = gg_.ghd.node(v).parent)

@@ -50,7 +50,7 @@ namespace topofaq {
 enum class ColumnEncoding : uint8_t { kPlain = 0, kDict = 1, kFor = 2 };
 
 /// How encode-on-canonicalize picks encodings. kAuto consults per-column
-/// stats gathered during the Canonicalize gather pass; the forced modes
+/// stats gathered in one pass over each canonical column; the forced modes
 /// exist for tests and the TOPOFAQ_ENCODING CI matrix leg and encode every
 /// column regardless of benefit (kForceDict falls back to kFor-free plain
 /// only when a dictionary cannot be built at all, which never happens —
@@ -136,8 +136,8 @@ inline void UnpackRange(const uint64_t* words, size_t begin, size_t end,
 // ---------------------------------------------------------------------------
 // EncodedColumn: one compressed column.
 
-/// Per-column stats gathered in one pass (piggybacked on the Canonicalize
-/// gather loop) and consumed by the encoding policy. `run_heads` counts
+/// Per-column stats gathered in one sequential pass over a canonical column
+/// and consumed by the encoding policy. `run_heads` counts
 /// adjacent-distinct positions (i == 0 or col[i] != col[i-1]); when it is
 /// small the exact distinct set is recoverable from the run-head values
 /// alone, so dictionary construction costs O(run_heads log run_heads)

@@ -66,8 +66,9 @@ struct OpStats {
   int64_t rows_in = 0;
   int64_t rows_out = 0;
   /// Key comparisons performed: merge/probe steps counted exactly, plus the
-  /// deterministic n·ceil(log2 n) bound per permutation sort (sorts run on
-  /// the worker pool, where per-invocation comparator counting would race).
+  /// deterministic n·ceil(log2 n) work bound per permutation sort — not a
+  /// count of comparator calls (the packed radix sort makes none, and the
+  /// comparator fallback's workers would race on a per-call count).
   int64_t comparisons = 0;
   /// Permutation sorts that actually ran.
   int64_t sorts = 0;

@@ -46,6 +46,7 @@
 #include "relation/parallel.h"
 #include "relation/relation.h"
 #include "relation/simd.h"
+#include "relation/sort_perm.h"
 #include "semiring/variable_ops.h"
 
 namespace topofaq {
@@ -152,23 +153,11 @@ bool KeysEqualAt(const typename A::Col* c, size_t x, size_t y, size_t k) {
   return true;
 }
 
-/// Ordered compare of rows `x` and `y` under the SAME column views —
-/// compares raw codes on encoded columns (both encodings preserve value
-/// order within a column), so key-order permutation sorts stay in code
-/// space.
-template <typename A>
-int CompareKeysSameAt(const typename A::Col* c, size_t x, size_t y, size_t k) {
-  for (size_t t = 0; t < k; ++t) {
-    const int r = A::CompareAt(c[t], x, y);
-    if (r != 0) return r;
-  }
-  return 0;
-}
-
-/// n·ceil(log2 n): the comparison count reported for permutation sorts.
-/// (Sorts run through ParallelSortPerm, so per-invocation comparator
-/// counting would race across sort workers; the bound is deterministic at
-/// every parallelism level.)
+/// n·ceil(log2 n): the `comparisons` charged per permutation sort — the
+/// sort's work bound, not a count of comparator calls. The packed radix
+/// path makes no comparisons at all, and the comparator fallback runs on
+/// pool workers where a per-call count would race; the bound is the same
+/// on every path and at every parallelism level.
 inline int64_t SortComparisonBound(size_t n) {
   if (n < 2) return 0;
   int64_t lg = 0;
@@ -177,17 +166,17 @@ inline int64_t SortComparisonBound(size_t n) {
 }
 
 /// Fills `perm` with the canonical (full-row lexicographic) order of `r`;
-/// the identity, sort skipped, when `r` is already canonical. The sort runs
-/// through ParallelSortPerm (index tiebreak → total order → bit-identical
-/// at every parallelism level). Non-canonical relations are always plain
+/// the identity, sort skipped, when `r` is already canonical. The sort is
+/// detail::SortRowPerm (row-id tiebreak → total order → bit-identical at
+/// every parallelism level). Non-canonical relations are always plain
 /// (mutation decodes), so this path reads raw columns.
 template <CommutativeSemiring S>
 void RowOrderPerm(const Relation<S>& r, ExecContext& cx,
                   std::vector<size_t>* perm, OpStats* st) {
   const size_t n = r.size();
-  perm->resize(n);
-  std::iota(perm->begin(), perm->end(), size_t{0});
   if (r.canonical()) {
+    perm->resize(n);
+    std::iota(perm->begin(), perm->end(), size_t{0});
     ++st->sort_skips;
     return;
   }
@@ -322,30 +311,25 @@ std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
                               cmps);
 }
 
-/// Fills `perm` with a row ordering of `r` sorted by key columns `pos`.
-/// When `pos` is the schema prefix [0, k) of a canonical relation the rows
-/// are already key-ordered and the sort is skipped (the kernel fast path).
-/// Like RowOrderPerm, the sort is a ParallelSortPerm with index tiebreak;
-/// on encoded columns the comparator runs in code space.
+/// Fills `perm` with a row ordering of `r` sorted by key columns `pos`,
+/// ties broken by row id. When `pos` is the schema prefix [0, k) of a
+/// canonical relation the rows are already key-ordered and the sort is
+/// skipped (the kernel fast path). Otherwise the key columns go through
+/// SortPermByColumns — one packed-key radix sort when key and row-id bits
+/// fit in 64 — reading codes on encoded columns.
 template <typename A, CommutativeSemiring S>
 void KeyOrderPerm(const Relation<S>& r, const std::vector<int>& pos,
                   ExecContext& cx, std::vector<size_t>* perm, OpStats* st) {
   const size_t n = r.size();
-  perm->resize(n);
-  std::iota(perm->begin(), perm->end(), size_t{0});
   if (IsCanonicalKeyPrefix(r, pos)) {
+    perm->resize(n);
+    std::iota(perm->begin(), perm->end(), size_t{0});
     ++st->sort_skips;
     return;
   }
   std::vector<typename A::Col> kc;
   GatherCols<A>(r, pos, &kc);
-  const typename A::Col* k = kc.data();
-  const size_t nk = kc.size();
-  ParallelSortPerm(perm, PlannedWorkers(cx, n), [k, nk](size_t x, size_t y) {
-    const int c = CompareKeysSameAt<A>(k, x, y, nk);
-    if (c != 0) return c < 0;
-    return x < y;
-  });
+  SortPermByColumns<A>(kc.data(), kc.size(), n, PlannedWorkers(cx, n), perm);
   ++st->sorts;
   st->comparisons += SortComparisonBound(n);
 }
@@ -754,28 +738,21 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
 
   // Right side key-ordered with full-row tiebreak so extras within a key-run
   // stream out sorted; identity (no sort, no indirection) when the key is
-  // already a canonical schema prefix. Comparators run in code space on
-  // encoded columns.
+  // already a canonical schema prefix. Under equal keys the full row differs
+  // only in the extras, so the sort columns are the key then the extras
+  // (schema order), ties broken by row id.
   const size_t* rpm = nullptr;
   if (IsCanonicalKeyPrefix(right, rpos)) {
     ++st.sort_skips;
   } else {
-    std::vector<size_t>& rp = cx.perm_b;
-    rp.resize(rn);
-    std::iota(rp.begin(), rp.end(), size_t{0});
-    GatherAllCols<A>(right, &ScratchCols<A>::e(cx));
-    const typename A::Col* rall = ScratchCols<A>::e(cx).data();
-    const size_t ra = right.arity();
-    ParallelSortPerm(&rp, PlannedWorkers(cx, rn), [&](size_t x, size_t y) {
-      const int c = CompareKeysSameAt<A>(rk, x, y, nk);
-      if (c != 0) return c < 0;
-      const int f = CompareKeysSameAt<A>(rall, x, y, ra);
-      if (f != 0) return f < 0;
-      return x < y;
-    });
+    std::vector<typename A::Col>& sc = ScratchCols<A>::e(cx);
+    sc.assign(rk, rk + nk);
+    sc.insert(sc.end(), rex, rex + nex);
+    SortPermByColumns<A>(sc.data(), sc.size(), rn, PlannedWorkers(cx, rn),
+                         &cx.perm_b);
     ++st.sorts;
     st.comparisons += SortComparisonBound(rn);
-    rpm = rp.data();
+    rpm = cx.perm_b.data();
   }
 
   // Left keys arrive monotonically under full-row traversal order exactly

@@ -128,13 +128,13 @@ std::vector<size_t> KeyAlignedCuts(size_t n, size_t want,
   return cuts;
 }
 
-/// Deterministic parallel permutation sort — the "parallelize the serial
-/// preambles" seam (ROADMAP): Canonicalize and the operator key/row-order
-/// permutation sorts route through this. `less` MUST be a *total* order
-/// (callers tie-break by index), so the sorted sequence is unique and the
-/// chunked sort-then-pairwise-inplace-merge below produces bit-identical
-/// results to a serial std::sort at every worker count — including
-/// workers == 1, which is exactly the serial sort.
+/// Deterministic parallel comparator sort of a permutation: chunk sorts on
+/// the pool, then pairwise in-place merges. Its one caller is the wide-key
+/// fallback of SortPermByColumns (sort_perm.h), for keys that do not pack
+/// into 64 bits. `less` MUST be a *total* order (callers tie-break by
+/// index), so the sorted sequence is unique and the result is bit-identical
+/// to a serial std::sort at every worker count — including workers == 1,
+/// which is exactly the serial sort.
 template <typename Less>
 void ParallelSortPerm(std::vector<size_t>* perm, int workers, Less&& less) {
   const size_t n = perm->size();

@@ -1,38 +1,24 @@
 // Out-of-line pieces of the columnar relation storage (relation.h) that need
-// the kernel seams: the canonicalization permutation sort is routed through
-// the WorkerPool (parallel.h) when the ambient ExecContext allows, and the
-// encoding mode is read off that context — exec.h and parallel.h are
-// headers relation.h itself must not include.
+// the kernel seams: the canonicalization permutation sort is the kernel's
+// packed-key sort (sort_perm.h), whose wide-key fallback may run on the
+// WorkerPool, and the encoding mode is read off the ExecContext — headers
+// relation.h itself must not include.
 #include "relation/relation.h"
 
 #include "relation/exec.h"
 #include "relation/parallel.h"
+#include "relation/sort_perm.h"
 
 namespace topofaq {
 namespace detail {
 
 void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
                  std::vector<size_t>* perm, ExecContext* ctx) {
-  perm->resize(rows);
-  std::iota(perm->begin(), perm->end(), size_t{0});
-  const size_t ncols = cols.size();
-  // Hoisted column bases: the comparator touches one contiguous array per
-  // compared column, never a row stride.
-  std::vector<const Value*> cp(ncols);
-  for (size_t j = 0; j < ncols; ++j) cp[j] = cols[j].data();
-  const Value* const* c = cp.data();
-  // Index tiebreak ⇒ total order ⇒ the sorted permutation is unique, so the
-  // parallel sort-and-merge below is bit-identical to a serial std::sort.
-  auto less = [c, ncols](size_t x, size_t y) {
-    for (size_t j = 0; j < ncols; ++j) {
-      const Value a = c[j][x];
-      const Value b = c[j][y];
-      if (a != b) return a < b;
-    }
-    return x < y;
-  };
+  std::vector<const Value*> cp(cols.size());
+  for (size_t j = 0; j < cols.size(); ++j) cp[j] = cols[j].data();
   ExecContext& cx = ExecContext::Resolve(ctx);
-  ParallelSortPerm(perm, PlannedWorkers(cx, rows), less);
+  SortPermByColumns<PlainAccess>(cp.data(), cp.size(), rows,
+                                 PlannedWorkers(cx, rows), perm);
 }
 
 EncodingMode EncodingModeOf(ExecContext* ctx) {

@@ -138,10 +138,12 @@ void CompactSortedColumns(std::vector<std::vector<Value>>* cols,
 /// Fills `perm` (resized to the row count) with the lexicographic row order
 /// of the column arrays `cols`, ties broken by row id — a *total* order, so
 /// the sorted permutation is unique and every downstream duplicate-merge ⊕
-/// folds in a deterministic association. When the ambient context (`ctx`,
-/// or the thread-local default for nullptr) has parallelism > 1 and the
-/// input is large, sort morsels run on the WorkerPool and merge pairwise —
-/// bit-identical to the serial sort by totality. Defined in relation.cc.
+/// folds in a deterministic association. The sort is SortPermByColumns
+/// (sort_perm.h): a radix sort of one packed 64-bit word per row when the
+/// column widths and row-id bits fit, else a comparator sort that may run
+/// on the WorkerPool when the ambient context (`ctx`, or the thread-local
+/// default for nullptr) has parallelism > 1. Both give the same
+/// permutation. Defined in relation.cc.
 void SortRowPerm(const std::vector<std::vector<Value>>& cols, size_t rows,
                  std::vector<size_t>* perm, ExecContext* ctx);
 
@@ -332,65 +334,49 @@ class Relation {
   /// drops zero annotations. After this, the relation is a canonical function
   /// representation: pointwise-equal functions compare equal. A no-op when
   /// the canonical flag is already set. Columnar execution: one permutation
-  /// sort (parallel on the WorkerPool when `ctx` — or the thread-local
-  /// ambient context for nullptr — allows, see detail::SortRowPerm), then
-  /// one gather pass per column; rows are never copied through a row buffer.
-  /// The columns are then encoded under the same context's mode.
+  /// sort (detail::SortRowPerm — a packed-key radix sort when the columns
+  /// fit in 64 bits beside the row id), one gather pass per column, then
+  /// one sequential fold-and-compact pass over the sorted rows; rows are
+  /// never copied through a row buffer. The columns are then encoded under
+  /// `ctx`'s mode (the thread-local ambient context's for nullptr).
   void Canonicalize(ExecContext* ctx = nullptr) {
     if (canonical_) return;
     DecodeAll();  // non-canonical relations are plain; enforce defensively
     const size_t n = size();
     std::vector<size_t> order;
     detail::SortRowPerm(cols_, n, &order, ctx);
-    // Walk sorted runs of equal rows once, folding annotations; `keep` is
-    // the surviving source row per output row, in output order.
-    std::vector<size_t> keep;
-    std::vector<SemiringValue> na;
-    keep.reserve(n);
-    na.reserve(n);
+    // Gather every column and the annotations into sorted order — the only
+    // random reads. Equal rows are then adjacent. Each column gathers into
+    // the storage the previous one released.
+    std::vector<Value> buf(n);
+    for (std::vector<Value>& c : cols_) {
+      const Value* src = c.data();
+      for (size_t i = 0; i < n; ++i) buf[i] = src[order[i]];
+      c.swap(buf);
+    }
+    std::vector<SemiringValue> na(n);
+    for (size_t i = 0; i < n; ++i) na[i] = annots_[order[i]];
+    // Fold each run of equal rows in sorted (row-id) order, drop zero sums,
+    // and compact in place.
+    size_t out = 0;
     for (size_t idx = 0; idx < n;) {
       size_t run_end = idx + 1;
-      while (run_end < n && RowsEqual(order[idx], order[run_end])) ++run_end;
-      SemiringValue acc = annots_[order[idx]];
-      for (size_t j = idx + 1; j < run_end; ++j)
-        acc = S::Add(acc, annots_[order[j]]);
+      while (run_end < n && RowsEqual(idx, run_end)) ++run_end;
+      SemiringValue acc = na[idx];
+      for (size_t j = idx + 1; j < run_end; ++j) acc = S::Add(acc, na[j]);
       if (!S::IsZero(acc)) {
-        keep.push_back(order[idx]);
-        na.push_back(acc);
+        if (out != idx)
+          for (std::vector<Value>& c : cols_) c[out] = c[idx];
+        na[out++] = acc;
       }
       idx = run_end;
     }
-    // Per-column gather, with the cheap encoding stats (min/max and the
-    // adjacent-distinct run-head count) folded into the same pass — the
-    // encode-on-canonicalize policy consumes them without re-scanning.
-    std::vector<ColumnStats> stats(cols_.size());
-    size_t cj = 0;
-    for (std::vector<Value>& c : cols_) {
-      ColumnStats& st = stats[cj++];
-      std::vector<Value> nc;
-      nc.reserve(keep.size());
-      const Value* src = c.data();
-      Value prev = 0;
-      for (size_t id : keep) {
-        const Value v = src[id];
-        if (nc.empty()) {
-          st.min = st.max = v;
-          st.run_heads = 1;
-        } else {
-          st.min = std::min(st.min, v);
-          st.max = std::max(st.max, v);
-          st.run_heads += v != prev;
-        }
-        prev = v;
-        nc.push_back(v);
-      }
-      st.rows = nc.size();
-      c = std::move(nc);
-    }
+    for (std::vector<Value>& c : cols_) c.resize(out);
+    na.resize(out);
     annots_ = std::move(na);
     canonical_ = true;
     sorted_distinct_ = true;
-    EncodeColumnsWithStats(stats, ctx);
+    EncodeColumns(ctx);
   }
 
   /// Applies the encode-on-canonicalize policy, under `ctx`'s mode (the
@@ -398,12 +384,24 @@ class Relation {
   /// plain relation (no-op otherwise). Exposed so Build()/ConcatPieces —
   /// which certify canonical without running Canonicalize — and tests can
   /// trigger the same policy.
+  /// Columns the policy compresses move into encs_ and release their plain
+  /// storage; the rest stay raw (their encs_ slot is a kPlain marker).
   void EncodeColumns(ExecContext* ctx = nullptr) {
     if (!canonical_ || !encs_.empty() || size() == 0) return;
-    std::vector<ColumnStats> stats(arity());
-    for (size_t j = 0; j < arity(); ++j)
-      stats[j] = ColumnStats::Of(cols_[j]);
-    EncodeColumnsWithStats(stats, ctx);
+    const EncodingMode mode = detail::EncodingModeOf(ctx);
+    if (mode == EncodingMode::kPlain) return;
+    std::vector<EncodedColumn> encs(arity());
+    bool any = false;
+    for (size_t j = 0; j < arity(); ++j) {
+      encs[j] =
+          ChooseAndEncode(cols_[j], ColumnStats::Of(cols_[j]), mode, j == 0);
+      if (encs[j].encoding != ColumnEncoding::kPlain) {
+        any = true;
+        cols_[j].clear();
+        cols_[j].shrink_to_fit();
+      }
+    }
+    if (any) encs_ = std::move(encs);
   }
 
   /// Materializes every encoded column back into its plain value array and
@@ -602,28 +600,6 @@ class Relation {
     for (const std::vector<Value>& c : cols_)
       if (c[x] != c[y]) return false;
     return true;
-  }
-
-  /// Runs the per-column policy over freshly canonicalized plain columns:
-  /// columns the policy compresses move into encs_ and release their plain
-  /// storage; the rest stay raw (their encs_ slot is a kPlain marker).
-  void EncodeColumnsWithStats(const std::vector<ColumnStats>& stats,
-                              ExecContext* ctx) {
-    dcache_.clear();
-    encs_.clear();
-    const EncodingMode mode = detail::EncodingModeOf(ctx);
-    if (mode == EncodingMode::kPlain || size() == 0) return;
-    std::vector<EncodedColumn> encs(arity());
-    bool any = false;
-    for (size_t j = 0; j < arity(); ++j) {
-      encs[j] = ChooseAndEncode(cols_[j], stats[j], mode, j == 0);
-      if (encs[j].encoding != ColumnEncoding::kPlain) {
-        any = true;
-        cols_[j].clear();
-        cols_[j].shrink_to_fit();
-      }
-    }
-    if (any) encs_ = std::move(encs);
   }
 
   Schema schema_;

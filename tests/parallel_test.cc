@@ -2,11 +2,17 @@
 // execution"): the WorkerPool fork/join contract, key-aligned morsel cuts,
 // and — the core guarantee — byte-identical canonical output across
 // parallelism ∈ {1, 2, 7, hardware_concurrency} for Join / Eliminate over
-// four semirings, including empty, skewed, and single-key-run inputs.
+// four semirings, including empty, skewed, and single-key-run inputs — and
+// the packed-key permutation sort (relation/sort_perm.h) against the
+// comparator sort it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +22,8 @@
 #include "relation/exec.h"
 #include "relation/ops.h"
 #include "relation/parallel.h"
+#include "relation/sort_perm.h"
+#include "random_instances.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -345,6 +353,245 @@ TEST(ParallelDeterminism, SolversMatchUnderParallelism) {
   auto oracle = BruteForceSolve(q);
   ASSERT_TRUE(oracle.ok());
   EXPECT_TRUE(got->EqualsAsFunction(*oracle));
+}
+
+// ---------------------------------------------------------------------------
+// Packed-key permutation sort vs the comparator sort
+// ---------------------------------------------------------------------------
+
+constexpr Value kMaxValue = std::numeric_limits<Value>::max();
+
+/// The comparator sort the packed sort must reproduce: lexicographic over
+/// `cols` (row values), ties broken by row id, one std::sort.
+std::vector<size_t> ComparatorPerm(const std::vector<std::vector<Value>>& cols,
+                                   size_t n) {
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::sort(perm.begin(), perm.end(), [&](size_t x, size_t y) {
+    for (const std::vector<Value>& c : cols)
+      if (c[x] != c[y]) return c[x] < c[y];
+    return x < y;
+  });
+  return perm;
+}
+
+/// The parallelism levels every packed-sort case runs at: 1 and max.
+std::vector<int> SortLevels() { return {1, WorkerPool::Shared().max_workers()}; }
+
+/// `k` columns of `n` rows, value gen(j, i) at column j, row i.
+template <typename Gen>
+std::vector<std::vector<Value>> MakeCols(size_t k, size_t n, Gen&& gen) {
+  std::vector<std::vector<Value>> cols(k, std::vector<Value>(n));
+  for (size_t j = 0; j < k; ++j)
+    for (size_t i = 0; i < n; ++i) cols[j][i] = gen(j, i);
+  return cols;
+}
+
+/// SortRowPerm at p=1 and p=max, and SortPermByColumns directly, against
+/// the comparator; `packed` is whether the key fits the packed path.
+void ExpectRowPermMatches(const std::vector<std::vector<Value>>& cols,
+                          size_t n, bool packed, const std::string& label) {
+  const std::vector<size_t> want = ComparatorPerm(cols, n);
+  for (int p : SortLevels()) {
+    ExecContext cx;
+    cx.parallelism = p;
+    std::vector<size_t> perm{42};  // stale contents must not leak through
+    detail::SortRowPerm(cols, n, &perm, &cx);
+    EXPECT_EQ(perm, want) << label << " p=" << p;
+  }
+  std::vector<const Value*> cp;
+  for (const std::vector<Value>& c : cols) cp.push_back(c.data());
+  std::vector<size_t> perm;
+  EXPECT_EQ(SortPermByColumns<PlainAccess>(cp.data(), cp.size(), n,
+                                           WorkerPool::Shared().max_workers(),
+                                           &perm),
+            packed)
+      << label;
+  EXPECT_EQ(perm, want) << label;
+}
+
+TEST(PackedSortPerm, RowPermMatchesComparatorAtEverySize) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, kRadixSortMinRows - 1,
+                   kRadixSortMinRows, size_t{100000}}) {
+    Rng rng(500 + n);
+    // Narrow domains: many equal keys, so the row-id tiebreak decides.
+    const uint64_t dom[3] = {37, 1000, 5};
+    const auto cols = MakeCols(3, n, [&](size_t j, size_t) {
+      return rng.NextU64(dom[j]);
+    });
+    ExpectRowPermMatches(cols, n, true, "n=" + std::to_string(n));
+  }
+}
+
+TEST(PackedSortPerm, KeyPlusRowIdBitsAtTheWordBoundary) {
+  // Column 0 is exactly 30 bits wide, column 1 exactly `w1`; each takes few
+  // distinct values, so equal keys are common. 63 and 64 total bits pack;
+  // 65 takes the comparator fallback. Both the radix (n = 4096) and the
+  // small-input std::sort (n = 100) orders are covered.
+  for (size_t n : {size_t{100}, size_t{4096}}) {
+    const int id_bits = std::bit_width(n - 1);
+    for (int total : {63, 64, 65}) {
+      const int w1 = total - 30 - id_bits;
+      Rng rng(600 + n + static_cast<uint64_t>(total));
+      const Value c0[4] = {0, 1, 2, (Value{1} << 30) - 1};
+      const Value c1[3] = {0, 3, (Value{1} << w1) - 1};
+      auto cols = MakeCols(2, n, [&](size_t j, size_t) {
+        return j == 0 ? c0[rng.NextU64(4)] : c1[rng.NextU64(3)];
+      });
+      // Pin both extremes so the widths are exact.
+      cols[0][0] = 0;
+      cols[0][1] = c0[3];
+      cols[1][0] = 0;
+      cols[1][1] = c1[2];
+      ExpectRowPermMatches(cols, n, total <= 64,
+                           "n=" + std::to_string(n) + " bits=" +
+                               std::to_string(total));
+    }
+  }
+}
+
+TEST(PackedSortPerm, ColumnHoldingZeroAndMaxValue) {
+  // Column 1 spans 0..UINT64_MAX, 64 bits: from two rows on the comparator
+  // fallback sorts. One row spans nothing and packs.
+  for (size_t n : {size_t{1}, size_t{2}, size_t{5000}}) {
+    Rng rng(700 + n);
+    const Value pool[4] = {0, 1, kMaxValue - 1, kMaxValue};
+    auto cols = MakeCols(2, n, [&](size_t j, size_t) {
+      return j == 0 ? rng.NextU64(3) : pool[rng.NextU64(4)];
+    });
+    cols[1][0] = kMaxValue;
+    if (n > 1) cols[1][1] = 0;
+    ExpectRowPermMatches(cols, n, n == 1, "n=" + std::to_string(n));
+  }
+}
+
+TEST(PackedSortPerm, AllEqualColumnsTakeNoBits) {
+  const size_t n = 5000;
+  Rng rng(800);
+  // Column 1 is constant: 0 bits between two varying columns.
+  ExpectRowPermMatches(MakeCols(3, n, [&](size_t j, size_t) {
+                         return j == 1 ? Value{7} : rng.NextU64(50);
+                       }),
+                       n, true, "one constant column");
+  // Every column constant: the identity permutation.
+  const auto flat = MakeCols(3, n, [](size_t, size_t) { return Value{9}; });
+  ExpectRowPermMatches(flat, n, true, "all constant");
+  std::vector<size_t> perm;
+  detail::SortRowPerm(flat, n, &perm, nullptr);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(perm[i], i);
+}
+
+TEST(PackedSortPerm, ArityZero) {
+  ExpectRowPermMatches({}, 7, true, "arity 0");
+  // An arity-0 relation holds at most the empty tuple: its rows fold into
+  // one, in row-id order.
+  Relation<CountingSemiring> r{Schema(std::vector<VarId>{})};
+  r.Add(std::span<const Value>(), 0.5);
+  r.Add(std::span<const Value>(), 0.25);
+  r.Add(std::span<const Value>(), 2.0);
+  r.Canonicalize();
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.annot(0), (0.5 + 0.25) + 2.0);
+}
+
+/// Canonical relation of exactly `n` rows over (A, B, C, D): D = row draw
+/// index keeps rows distinct, B holds 0 and UINT64_MAX (64 bits wide in
+/// value and FOR space, 2 bits in dictionary codes).
+Relation<NaturalSemiring> SortTestRel(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Relation<NaturalSemiring> r{Schema({0, 1, 2, 3})};
+  const Value wide[3] = {0, 12345, kMaxValue};
+  for (size_t i = 0; i < n; ++i)
+    r.Add({rng.NextU64(40), wide[rng.NextU64(3)], rng.NextU64(300),
+           static_cast<Value>(i)},
+          rng.NextU64(100) + 1);
+  EncodingContext plain(EncodingMode::kPlain);
+  r.Canonicalize(&plain);
+  return r;
+}
+
+TEST(PackedSortPerm, KeyOrderPermMatchesComparatorOverEveryEncoding) {
+  const std::vector<std::vector<int>> keys = {{2, 0}, {1}, {2, 1}, {1, 3}};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, kRadixSortMinRows - 1,
+                   kRadixSortMinRows, size_t{100000}}) {
+    const Relation<NaturalSemiring> base = SortTestRel(n, 900 + n);
+    ASSERT_EQ(base.size(), n);
+    for (EncodingMode m : {EncodingMode::kPlain, EncodingMode::kForceDict,
+                           EncodingMode::kForceFor}) {
+      const Relation<NaturalSemiring> r = Recode(base, m);
+      for (const std::vector<int>& pos : keys) {
+        std::vector<std::vector<Value>> kv;
+        for (int p : pos)
+          kv.push_back(base.columns()[static_cast<size_t>(p)]);
+        const std::vector<size_t> want = ComparatorPerm(kv, n);
+        for (int p : SortLevels()) {
+          ExecContext cx;
+          cx.parallelism = p;
+          OpStats st;
+          std::vector<size_t> perm;
+          if (r.any_encoded())
+            internal::KeyOrderPerm<EncodedAccess>(r, pos, cx, &perm, &st);
+          else
+            internal::KeyOrderPerm<PlainAccess>(r, pos, cx, &perm, &st);
+          EXPECT_EQ(perm, want) << "n=" << n << " mode=" << static_cast<int>(m)
+                                << " key0=" << pos[0] << " p=" << p;
+          EXPECT_EQ(st.sorts, 1);
+          EXPECT_EQ(st.comparisons, internal::SortComparisonBound(n));
+        }
+      }
+    }
+  }
+}
+
+/// The join the kernel must produce for `left` ⋈ `right` on B, with right
+/// key B at schema position 1 (not a prefix): left rows in canonical order,
+/// each against the right rows ordered by the comparator (B, A, row id),
+/// equal output rows folded with ⊕ in that emission order.
+template <CommutativeSemiring S>
+Relation<S> ExpectedJoinOnB(const Relation<S>& left, const Relation<S>& right) {
+  const std::vector<std::vector<Value>>& rc = right.columns();
+  const std::vector<size_t> rperm = ComparatorPerm({rc[1], rc[0]}, right.size());
+  RelationBuilder<S> b{Schema({1, 4, 0})};
+  for (size_t x = 0; x < left.size(); ++x)
+    for (size_t y : rperm)
+      if (rc[1][y] == left.at(x, 0))
+        b.Append({left.at(x, 0), left.at(x, 1), rc[0][y]},
+                 S::Multiply(left.annot(x), right.annot(y)));
+  return b.Build();
+}
+
+TEST(PackedSortPerm, JoinRightRegroupMatchesComparator) {
+  using S = CountingSemiring;  // float ⊕: the fold order shows in the bits
+  const Relation<S> left = RandomRelation<S>({1, 4}, 3000, 200, 1000);
+  // Right (A, B): duplicate rows, so the row-id tiebreak orders the ⊕ folds;
+  // A holds 0 and UINT64_MAX in the wide variant.
+  for (bool wide : {false, true}) {
+    Rng rng(1100 + wide);
+    Relation<S> raw{Schema({0, 1})};
+    for (size_t i = 0; i < 5000; ++i) {
+      Value a = rng.NextU64(60);
+      if (wide && a == 0) a = kMaxValue;
+      raw.Add({a, rng.NextU64(200)}, TestAnnot<S>(rng.NextU64(1 << 20)));
+    }
+    Relation<S> canon = raw;
+    EncodingContext plain(EncodingMode::kPlain);
+    canon.Canonicalize(&plain);
+    std::vector<std::pair<std::string, Relation<S>>> rights = {
+        {"non-canonical", raw},
+        {"plain", canon},
+        {"dict", Recode(canon, EncodingMode::kForceDict)},
+        {"for", Recode(canon, EncodingMode::kForceFor)}};
+    for (const auto& [label, right] : rights) {
+      const Relation<S> want = ExpectedJoinOnB(left, right);
+      for (int p : SortLevels()) {
+        ExecContext cx;
+        cx.parallelism = p;
+        EXPECT_TRUE(BytesEqual(Join(left, right, &cx), want))
+            << label << " wide=" << wide << " p=" << p;
+        EXPECT_EQ(cx.join.sorts, 1) << label;
+      }
+    }
+  }
 }
 
 }  // namespace
