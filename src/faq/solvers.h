@@ -62,14 +62,14 @@ inline std::vector<VarId> VarsOutside(const Schema& sc,
   return out;
 }
 
-/// Eliminates `vars` from r with each variable's own aggregate, batched:
-/// Eliminate() orders them descending (the Eq. (4) innermost-first order
-/// restricted to this bag) and groups once per run of equal aggregates.
-/// With nothing to eliminate, r passes through: no operator call, no copy.
+/// Eliminates `vars` (non-empty) from r with each variable's own aggregate,
+/// batched: Eliminate() orders them descending (the Eq. (4) innermost-first
+/// order restricted to this bag) and groups once per run of equal
+/// aggregates. `r` is only read; callers with nothing to eliminate skip the
+/// call and keep r as it is.
 template <CommutativeSemiring S>
-Relation<S> EliminateAll(Relation<S> r, std::vector<VarId> vars,
+Relation<S> EliminateAll(const Relation<S>& r, std::vector<VarId> vars,
                          const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
-  if (vars.empty()) return r;
   std::vector<VarOp> ops;
   ops.reserve(vars.size());
   for (VarId v : vars) ops.push_back(q.OpFor(v));
@@ -136,7 +136,7 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
         part = Join(part, members[i], ctx);
     }
     std::vector<VarId> bound = VarsOutside(part.schema(), keep);
-    part = EliminateAll(std::move(part), std::move(bound), q, ctx);
+    if (!bound.empty()) part = EliminateAll(part, std::move(bound), q, ctx);
     // Disjoint schemas: scalar/cross combination.
     acc = acc ? Join(*acc, part, ctx) : std::move(part);
   }
@@ -185,10 +185,18 @@ Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
   Relation<S> out;
   if (pairwise) {
     TOPOFAQ_CHECK_MSG(!parts.empty(), "SolveNode: edge bag without operands");
-    out = parts.size() == 1 ? *parts[0] : Join(*parts[0], *parts[1], ctx);
-    for (size_t i = 2; i < parts.size(); ++i) out = Join(out, *parts[i], ctx);
-    std::vector<VarId> bound = VarsOutside(out.schema(), keep);
-    out = EliminateAll(std::move(out), std::move(bound), q, ctx);
+    // A lone operand is only read: Eliminate runs straight off the borrowed
+    // relation, which is copied only when nothing is eliminated.
+    if (parts.size() > 1) {
+      out = Join(*parts[0], *parts[1], ctx);
+      for (size_t i = 2; i < parts.size(); ++i) out = Join(out, *parts[i], ctx);
+    }
+    const Relation<S>& in = parts.size() == 1 ? *parts[0] : out;
+    std::vector<VarId> bound = VarsOutside(in.schema(), keep);
+    if (!bound.empty())
+      out = EliminateAll(in, std::move(bound), q, ctx);
+    else if (parts.size() == 1)
+      out = in;
   } else {
     std::vector<Relation<S>> owned;
     owned.reserve(parts.size());

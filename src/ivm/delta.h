@@ -6,13 +6,12 @@
 // `adds` is ⊕-merged in, removes first. Both halves are canonicalized on
 // application, so callers can hand over raw batches.
 //
-// The base update is one splice over the canonical columns: erased rows are
-// zeroed with set_annot and dropped by the one-pass Relation::Compact()
-// re-certification, then AddInto walks the (sorted) add rows once, bulk-
-// appending the untouched base runs between them via
-// RelationBuilder::AppendChunk and ⊕-merging collisions exactly the way
-// Canonicalize's run fold would (base row first, delta row second). Cost:
-// O(|base| memmove + |delta| · log |base|), no sort.
+// The base update is one sorted merge walk (ivm_detail::MergeDelta) of the
+// canonical base against both halves, emitted through one RelationBuilder:
+// untouched base runs move as AppendChunk column views, touched rows are
+// Appended, collisions ⊕-merge exactly the way Canonicalize's run fold would
+// (base row first, delta row second), and in ring mode the same walk emits
+// the net change. Cost: O(|base| memmove + |delta| · log |base|), no sort.
 //
 // RingTraits classifies each semiring for the propagation layer
 // (ivm/standing_query.h): in a *ring*, the net effect of a delta on a base
@@ -121,116 +120,8 @@ bool RowEquals(const Relation<S>& r, size_t i, std::span<const Value> t) {
 
 }  // namespace ivm_detail
 
-/// Erases every base tuple that appears in (canonical) `removes`: binary
-/// search per remove row, zero the annotation, then one Compact() pass
-/// drops the zeroed runs and re-certifies (re-encoding under `ctx`'s mode)
-/// — the set_annot/Compact re-certification contract exercised as a bulk
-/// mutation. Tuples absent from the base are silently skipped.
-template <CommutativeSemiring S>
-void EraseMatching(Relation<S>* base, const Relation<S>& removes,
-                   ExecContext* ctx = nullptr) {
-  if (removes.empty() || base->empty()) return;
-  const size_t a = base->arity();
-  std::vector<Value> row(a);
-  size_t lo = 0;  // removes are sorted too: searches only ever move right
-  for (size_t i = 0; i < removes.size(); ++i) {
-    for (size_t j = 0; j < a; ++j) row[j] = removes.at(i, j);
-    lo = ivm_detail::LowerBoundRow(*base, row, lo);
-    if (lo >= base->size()) break;
-    if (ivm_detail::RowEquals(*base, lo, row)) base->set_annot(lo, S::Zero());
-  }
-  base->Compact(ctx);
-}
-
-/// ⊕-merges canonical `delta` into canonical `*base` with one splice pass:
-/// base runs between consecutive delta rows move as AppendChunk column
-/// views, collisions fold S::Add(base_annot, delta_annot) — the same
-/// association Canonicalize's run fold (base row id < delta row id) would
-/// produce — and Build()'s compaction drops exact cancellations (GF2,
-/// wrapping Natural) and re-runs the encoding policy under `ctx`'s mode on
-/// the spliced result.
-template <CommutativeSemiring S>
-void AddInto(Relation<S>* base, const Relation<S>& delta,
-             ExecContext* ctx = nullptr) {
-  if (delta.empty()) return;
-  TOPOFAQ_CHECK_MSG(base->schema() == delta.schema() ||
-                        (base->empty() && base->arity() == 0),
-                    "AddInto: schema mismatch");
-  if (base->empty()) {
-    *base = delta;
-    base->Canonicalize(ctx);
-    return;
-  }
-  base->Compact(ctx);  // canonical in, canonical out
-  Relation<S> old = std::move(*base);
-  old.DecodeAll();
-  const size_t a = old.arity();
-  const auto& dcols = delta.columns();  // decoded once; delta is canonical
-  RelationBuilder<S> b(old.schema());
-  b.Reserve(old.size() + delta.size());
-  std::vector<ColumnView> chunk(a);
-  std::vector<Value> row(a);
-  size_t pos = 0;
-  for (size_t di = 0; di < delta.size(); ++di) {
-    for (size_t j = 0; j < a; ++j) row[j] = dcols[j][di];
-    const size_t ub = ivm_detail::LowerBoundRow(old, row, pos);
-    if (ub > pos) {
-      for (size_t j = 0; j < a; ++j)
-        chunk[j] = ColumnView(old.col(j).data() + pos, ub - pos);
-      b.AppendChunk(std::span<const ColumnView>(chunk),
-                    std::span<const typename S::Value>(
-                        old.annots().data() + pos, ub - pos));
-      pos = ub;
-    }
-    if (pos < old.size() && ivm_detail::RowEquals(old, pos, row)) {
-      b.Append(row, S::Add(old.annot(pos), delta.annot(di)));
-      ++pos;
-    } else {
-      b.Append(row, delta.annot(di));
-    }
-  }
-  if (pos < old.size()) {
-    for (size_t j = 0; j < a; ++j)
-      chunk[j] = ColumnView(old.col(j).data() + pos, old.size() - pos);
-    b.AppendChunk(std::span<const ColumnView>(chunk),
-                  std::span<const typename S::Value>(
-                      old.annots().data() + pos, old.size() - pos));
-  }
-  *base = b.Build(ctx);
-}
-
-/// Ring mode only: the annotated relation C with base_after = base_before
-/// ⊕ C pointwise, for a delta of (canonical) `removes` then `adds`. Erased
-/// tuples contribute their base annotation negated; added tuples contribute
-/// their value; a tuple in both folds Negate(old) ⊕ new (row-id order:
-/// removes were Added first). Exact rings only — C drives join-tree
-/// propagation in StandingQuery.
-template <CommutativeSemiring S>
-  requires(RingTraits<S>::kIsRing)
-Relation<S> NetChange(const Relation<S>& base, const Relation<S>& removes,
-                      const Relation<S>& adds, ExecContext* ctx = nullptr) {
-  Relation<S> c(base.schema());
-  const size_t a = base.arity();
-  std::vector<Value> row(a);
-  size_t lo = 0;
-  for (size_t i = 0; i < removes.size(); ++i) {
-    for (size_t j = 0; j < a; ++j) row[j] = removes.at(i, j);
-    lo = ivm_detail::LowerBoundRow(base, row, lo);
-    if (lo >= base.size()) break;
-    if (ivm_detail::RowEquals(base, lo, row))
-      c.Add(std::span<const Value>(row), RingTraits<S>::Negate(base.annot(lo)));
-  }
-  for (size_t i = 0; i < adds.size(); ++i) {
-    for (size_t j = 0; j < a; ++j) row[j] = adds.at(i, j);
-    c.Add(std::span<const Value>(row), adds.annot(i));
-  }
-  c.Canonicalize(ctx);
-  return c;
-}
-
 /// The check step of a base update: canonicalizes both halves of `d` and
-/// checks their schemas against `base`. Ring-mode maintenance computes its
-/// NetChange between this step and UpdateBase.
+/// checks their schemas against `base`.
 template <CommutativeSemiring S>
 Status CheckDelta(const Relation<S>& base, Delta<S>* d,
                   ExecContext* ctx = nullptr) {
@@ -243,13 +134,106 @@ Status CheckDelta(const Relation<S>& base, Delta<S>* d,
   return Status::Ok();
 }
 
-/// The update step of a base update: erase, then merge. `d` must have
-/// passed CheckDelta against `*base`.
+/// The update step of a base update — the one merge walk: canonical
+/// `*base`, `removes` and `adds` (both past CheckDelta) in a single sorted
+/// pass. Delta keys are taken in order (a key in both halves once); each is
+/// binary-searched in the base from the last touched row on. A touched row
+/// goes into one RelationBuilder with Append, the untouched base run before
+/// it with AppendChunk:
+///   in base, removed, not added  → dropped
+///   in base, removed and added   → the added annotation
+///   in base, added only          → S::Add(base, added), base row first
+///   absent, added                → the added annotation
+///   absent, removed only         → nothing (not a touch)
+/// Build() drops exact cancellations and re-runs the encoding policy under
+/// `ctx`'s mode. A non-canonical base is canonicalized first; a delta that
+/// touches nothing leaves the canonical base as it was, and the base is
+/// decoded only once something is touched.
+///
+/// With `change` non-null (ring semirings only) the same walk emits the net
+/// change C, base_new = base_old ⊕ C: Negate(old) for a removed row, the
+/// added annotation for an added one, Negate(old) ⊕ new for a row in both.
 template <CommutativeSemiring S>
-void UpdateBase(Relation<S>* base, const Delta<S>& d,
-                ExecContext* ctx = nullptr) {
-  EraseMatching(base, d.removes, ctx);
-  AddInto(base, d.adds, ctx);
+void UpdateBase(Relation<S>* base, const Relation<S>& removes,
+                const Relation<S>& adds, ExecContext* ctx = nullptr,
+                Relation<S>* change = nullptr) {
+  using V = typename S::Value;
+  TOPOFAQ_CHECK_MSG(change == nullptr || RingTraits<S>::kIsRing,
+                    "UpdateBase: a net change needs additive inverses");
+  base->Canonicalize(ctx);  // canonical in, canonical out
+  const size_t a = base->arity();
+  RelationBuilder<S> b(base->schema());
+  RelationBuilder<S> c(base->schema());
+  std::vector<Value> rrow(a), arow(a);
+  std::vector<ColumnView> chunk(a);
+  auto load = [a](const Relation<S>& r, size_t i, std::vector<Value>* row) {
+    for (size_t j = 0; j < a; ++j) (*row)[j] = r.at(i, j);
+  };
+  auto append_base = [&](size_t begin, size_t end) {  // base rows [begin, end)
+    for (size_t j = 0; j < a; ++j)
+      chunk[j] = base->col(j).subspan(begin, end - begin);
+    b.AppendChunk(chunk, std::span<const V>(base->annots())
+                             .subspan(begin, end - begin));
+  };
+  bool touched = false;
+  size_t pos = 0, ri = 0, ai = 0;  // base rows [0, pos) are in the builder
+  if (!removes.empty()) load(removes, 0, &rrow);
+  if (!adds.empty()) load(adds, 0, &arow);
+  while (ri < removes.size() || ai < adds.size()) {
+    int cmp = ri == removes.size() ? 1 : (ai == adds.size() ? -1 : 0);
+    for (size_t j = 0; j < a && cmp == 0; ++j)
+      cmp = rrow[j] < arow[j] ? -1 : (rrow[j] > arow[j] ? 1 : 0);
+    const bool removed = cmp <= 0, added = cmp >= 0;
+    const std::span<const Value> key(removed ? rrow : arow);
+    const size_t at = ivm_detail::LowerBoundRow(*base, key, pos);
+    const bool hit = at < base->size() && ivm_detail::RowEquals(*base, at, key);
+    if (hit || added) {
+      if (!touched) {
+        touched = true;
+        base->DecodeAll();  // chunks are views into the plain columns
+        b.Reserve(base->size() + adds.size());
+      }
+      append_base(pos, at);
+      pos = hit ? at + 1 : at;
+      const V added_v = added ? adds.annot(ai) : S::Zero();
+      if constexpr (RingTraits<S>::kIsRing) {
+        if (change != nullptr && hit && removed) {
+          const V neg = RingTraits<S>::Negate(base->annot(at));
+          c.Append(key, added ? S::Add(neg, added_v) : neg);
+        } else if (change != nullptr) {
+          c.Append(key, added_v);
+        }
+      }
+      if (added)
+        b.Append(key, hit && !removed ? S::Add(base->annot(at), added_v)
+                                      : added_v);
+    }
+    if (removed && ++ri < removes.size()) load(removes, ri, &rrow);
+    if (added && ++ai < adds.size()) load(adds, ai, &arow);
+  }
+  if (change != nullptr) *change = c.Build(ctx);
+  if (!touched) return;
+  append_base(pos, base->size());
+  *base = b.Build(ctx);
+}
+
+/// ⊕-merges canonical `delta` into canonical `*base` — the adds-only merge
+/// walk ring propagation folds its terms with.
+/// Collisions fold S::Add(base_annot, delta_annot), the association
+/// Canonicalize's run fold (base row id < delta row id) would produce.
+template <CommutativeSemiring S>
+void AddInto(Relation<S>* base, const Relation<S>& delta,
+             ExecContext* ctx = nullptr) {
+  if (delta.empty()) return;
+  TOPOFAQ_CHECK_MSG(base->schema() == delta.schema() ||
+                        (base->empty() && base->arity() == 0),
+                    "AddInto: schema mismatch");
+  if (base->empty()) {
+    *base = delta;
+    base->Canonicalize(ctx);
+    return;
+  }
+  UpdateBase(base, Relation<S>(base->schema()), delta, ctx);
 }
 
 /// Applies one delta to a base relation: CheckDelta, then UpdateBase. These
@@ -260,7 +244,7 @@ template <CommutativeSemiring S>
 Status ApplyDeltaToRelation(Relation<S>* base, Delta<S> d,
                             ExecContext* ctx = nullptr) {
   if (Status s = CheckDelta(*base, &d, ctx); !s.ok()) return s;
-  UpdateBase(base, d, ctx);
+  UpdateBase(base, d.removes, d.adds, ctx);
   return Status::Ok();
 }
 

@@ -137,17 +137,17 @@ class StandingQuery {
     const int node = node_of_relation_[static_cast<size_t>(relation_id)];
     if constexpr (RingTraits<S>::kIsRing && RingTraits<S>::kExact) {
       if (ring_mode_) {
-        // Net change first (it reads the pre-delta annotations), then the
-        // shared base update, then push the change up the root path.
-        Relation<S> change = NetChange(base, d.removes, d.adds, ctx);
-        UpdateBase(&base, d, ctx);
+        // The shared base update emits the net change in the same walk;
+        // push it up the root path.
+        Relation<S> change;
+        UpdateBase(&base, d.removes, d.adds, ctx, &change);
         ++stats_.ring_deltas;
         if (change.empty()) return Status::Ok();
         PropagateRing(std::move(change), node, ctx);
         return Status::Ok();
       }
     }
-    UpdateBase(&base, d, ctx);
+    UpdateBase(&base, d.removes, d.adds, ctx);
     ++stats_.recompute_deltas;
     std::vector<char> dirty(msgs_.size(), 0);
     for (int v = node; v >= 0; v = gg_.ghd.node(v).parent)

@@ -305,8 +305,9 @@ class StreamNet {
     // bulk (one boundary compare + arity+1 range inserts) instead of
     // regathering row by row. Build() re-runs the encoding policy, so a
     // compressed source arrives compressed.
+    const std::vector<ColumnView> views(cols.begin(), cols.end());
     sink.builder.AppendChunk(
-        cols, std::span<const typename S::Value>(page->annots));
+        views, std::span<const typename S::Value>(page->annots));
     const bool last = page->last;
     p.payload.reset();  // the page is consumed; only the credit remains
 

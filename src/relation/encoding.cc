@@ -7,13 +7,27 @@ namespace topofaq {
 
 namespace {
 
-/// Packs one column of codes produced by `code(v)`.
+/// Packs the `n` codes `code(0), ..., code(n-1)` (each must fit `width`
+/// bits) with one sequential word writer: each word is assembled in a
+/// register and stored once, with no read-modify-write per code. The words
+/// equal PackAt's at every position, padding word included.
 template <typename CodeFn>
-std::vector<uint64_t> Pack(std::span<const Value> col, int width,
-                           CodeFn&& code) {
-  std::vector<uint64_t> words(PackedWords(col.size(), width), 0);
-  for (size_t i = 0; i < col.size(); ++i)
-    PackAt(words.data(), i, width, code(col[i]));
+std::vector<uint64_t> Pack(size_t n, int width, CodeFn&& code) {
+  std::vector<uint64_t> words(PackedWords(n, width), 0);
+  uint64_t* out = words.data();
+  uint64_t acc = 0;
+  int fill = 0;  // low bits of acc already holding codes
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t c = code(i);
+    acc |= c << fill;
+    fill += width;
+    if (fill >= 64) {  // acc is full: store it, carry c's spilled high bits
+      *out++ = acc;
+      fill -= 64;
+      acc = fill == 0 ? 0 : c >> (width - fill);
+    }
+  }
+  if (fill > 0) *out = acc;
   return words;
 }
 
@@ -51,7 +65,7 @@ EncodedColumn EncodedColumn::For(std::span<const Value> col, Value min,
   e.base = min;
   e.width = static_cast<uint8_t>(max - min == ~0ull ? 64
                                                     : WidthFor(max - min + 1));
-  e.words = Pack(col, e.width, [min](Value v) { return v - min; });
+  e.words = Pack(col.size(), e.width, [&](size_t i) { return col[i] - min; });
   return e;
 }
 
@@ -64,9 +78,10 @@ EncodedColumn EncodedColumn::Dict(std::span<const Value> col,
   e.width = static_cast<uint8_t>(WidthFor(e.dict.size()));
   const Value* db = e.dict.data();
   const Value* de = db + e.dict.size();
-  e.words = Pack(col, e.width, [db, de](Value v) {
-    const Value* it = std::lower_bound(db, de, v);
-    TOPOFAQ_CHECK_MSG(it != de && *it == v, "value missing from dictionary");
+  e.words = Pack(col.size(), e.width, [&](size_t i) {
+    const Value* it = std::lower_bound(db, de, col[i]);
+    TOPOFAQ_CHECK_MSG(it != de && *it == col[i],
+                      "value missing from dictionary");
     return static_cast<uint64_t>(it - db);
   });
   return e;
@@ -80,11 +95,9 @@ EncodedColumn EncodedColumn::Slice(const EncodedColumn& src, size_t begin,
   e.base = src.base;
   e.rows = end - begin;
   if (ship_dict) e.dict = src.dict;
-  e.words.assign(PackedWords(e.rows, e.width), 0);
-  const uint64_t m = src.mask();
-  for (size_t i = begin; i < end; ++i)
-    PackAt(e.words.data(), i - begin, e.width,
-           UnpackAt(src.words.data(), i, src.width, m));
+  e.words = Pack(e.rows, e.width, [&src, begin](size_t i) {
+    return src.CodeAt(begin + i);
+  });
   return e;
 }
 

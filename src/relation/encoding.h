@@ -270,9 +270,6 @@ struct EncodedColumn {
     return key - base + 1;
   }
 
-  /// True bits on the wire for `n` codes of this column, excluding the
-  /// dictionary table (shipped once per stream, accounted separately).
-  size_t PayloadBits(size_t n) const { return n * width; }
   /// Bits for the dictionary table itself.
   size_t DictBits() const { return dict.size() * sizeof(Value) * 8; }
   /// Bytes this column pins in memory.

@@ -125,8 +125,8 @@ class ExecContext {
   int parallelism = DefaultParallelism();
 
   /// Encoding policy of every relation canonicalized or built through this
-  /// context (Relation::Canonicalize / EncodeColumns / ConcatPieces,
-  /// RelationBuilder::Build). Starts at DefaultEncodingMode().
+  /// context (Relation::Canonicalize / EncodeColumns, RelationBuilder::Build).
+  /// Starts at DefaultEncodingMode().
   EncodingMode encoding = DefaultEncodingMode();
   /// Whether operators on this context may run the vector kernel bodies
   /// (relation/simd.h); they also need an AVX2 host (simd::Available).

@@ -18,9 +18,9 @@
 //    worker is the serial loop: the whole traversal into one builder on the
 //    caller's context. More workers get one RelationBuilder per morsel, one
 //    worker-owned ExecContext per worker (ExecContext's arena), and
-//    concatenation through Relation::ConcatPieces, which certifies the
-//    result canonical with no closing sort because morsels are disjoint key
-//    ranges in traversal order.
+//    concatenation through one more builder's AppendChunk, which certifies
+//    the result canonical with no closing sort because morsels are disjoint
+//    key ranges in traversal order.
 //
 // Determinism contract: for fixed inputs, operator output bytes (rows and
 // annotations) are identical for every parallelism level, including 1 (the
@@ -173,9 +173,11 @@ void ParallelSortPerm(std::vector<size_t>* perm, int workers, Less&& less) {
 /// worker pool. Otherwise the traversal is split at key-run boundaries, each
 /// morsel is emitted on the pool into its own RelationBuilder (each worker
 /// with its own child context for scratch and stats), and the per-morsel
-/// outputs are concatenated — already globally sorted because morsels are
-/// disjoint key ranges in traversal order. The morsel count lands in
-/// `cx.*stats`, and every worker's `*stats` rolls up into it.
+/// outputs are AppendChunk-ed into one builder — already globally sorted
+/// because morsels are disjoint key ranges in traversal order, so its
+/// Build() is one zero-dropping pass (an equal boundary row merges with ⊕;
+/// out-of-order pieces would fall back to one Canonicalize). The morsel
+/// count lands in `cx.*stats`, and every worker's `*stats` rolls up into it.
 ///
 /// Cancellation (server/engine.h): the owning context's cancel token is
 /// checked once per morsel, inside the ParallelFor task body, before the
@@ -202,8 +204,8 @@ Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
   builders.reserve(m);
   for (size_t i = 0; i < m; ++i) {
     builders.emplace_back(schema);
-    // Pieces are spliced by ConcatPieces, which decodes them anyway — only
-    // the concatenated result runs the encoding policy.
+    // Pieces are spliced as plain column views — only the concatenated
+    // result runs the encoding policy.
     builders.back().set_encode(false);
   }
   // Materialize the worker arena before forking: lazy creation inside the
@@ -236,10 +238,17 @@ Relation<S> MorselRun(ExecContext& cx, int workers, Schema schema, size_t n,
     st += ws;
     ws = OpStats{};
   }
-  std::vector<Relation<S>> pieces;
-  pieces.reserve(m);
-  for (auto& b : builders) pieces.push_back(b.Build(&cx));
-  return Relation<S>::ConcatPieces(std::move(schema), std::move(pieces), &cx);
+  size_t rows = 0;
+  for (const auto& b : builders) rows += b.rows();
+  std::vector<ColumnView> cols(schema.arity());
+  RelationBuilder<S> out{std::move(schema)};
+  out.Reserve(rows);
+  for (auto& b : builders) {
+    const Relation<S> piece = b.Build(&cx);
+    for (size_t j = 0; j < cols.size(); ++j) cols[j] = piece.col(j);
+    out.AppendChunk(cols, piece.annots());
+  }
+  return out.Build(&cx);
 }
 
 }  // namespace topofaq

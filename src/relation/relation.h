@@ -114,9 +114,8 @@ namespace detail {
 
 /// Compacts parallel column/annotation arrays that are already sorted and
 /// distinct by dropping zero-annotated rows in place (merge cancellation,
-/// e.g. GF2). The single certification pass shared by
-/// RelationBuilder::Build's sorted path, Relation::ConcatPieces, and
-/// Relation::Compact. A no-op (and no writes at all) when nothing is zero.
+/// e.g. GF2) — RelationBuilder::Build's certification pass on sorted
+/// input. A no-op (and no writes at all) when nothing is zero.
 template <CommutativeSemiring S>
 void CompactSortedColumns(std::vector<std::vector<Value>>* cols,
                           std::vector<typename S::Value>* annots) {
@@ -281,40 +280,11 @@ class Relation {
   SemiringValue annot(size_t i) const { return annots_[i]; }
   /// The full annotation column, parallel to the rows.
   const std::vector<SemiringValue>& annots() const { return annots_; }
-  void set_annot(size_t i, SemiringValue v) {
-    // Keep the invariant "encoded ⇒ canonical": mutation decodes first, so
-    // the non-canonical states downstream code sorts through (RowOrderPerm
-    // and friends) only ever see plain columns.
-    DecodeAll();
-    annots_[i] = v;
-    // A zero annotation violates the canonical invariant (non-zero rows
-    // only) but not row ordering/distinctness, so Compact() can re-certify
-    // in one pass; nonzero overwrites keep the invariant intact.
-    if (S::IsZero(v) && canonical_) {
-      canonical_ = false;
-      sorted_distinct_ = true;
-    }
-  }
-
-  /// Re-certifies a relation whose only invariant violations are
-  /// zero-valued annotations (the set_annot wart): drops those rows in one
-  /// compaction pass and restores the canonical flag, re-encoding under
-  /// `ctx`'s mode. Falls back to a full Canonicalize() when row
-  /// order/distinctness is not certified.
-  void Compact(ExecContext* ctx = nullptr) {
-    if (canonical_) return;
-    if (!sorted_distinct_) {
-      Canonicalize(ctx);
-      return;
-    }
-    DecodeAll();
-    detail::CompactSortedColumns<S>(&cols_, &annots_);
-    canonical_ = true;
-    EncodeColumns(ctx);
-  }
 
   /// Appends (t, v). Zero-annotated tuples are dropped (listing rep stores
-  /// only non-zeros). Duplicates are merged by Canonicalize().
+  /// only non-zeros). Duplicates are merged by Canonicalize(). Like every
+  /// mutator it decodes first, so the non-canonical states downstream code
+  /// sorts through only ever see plain columns.
   void Add(std::span<const Value> t, SemiringValue v) {
     TOPOFAQ_CHECK(t.size() == arity());
     if (S::IsZero(v)) return;
@@ -322,7 +292,6 @@ class Relation {
     for (size_t j = 0; j < t.size(); ++j) cols_[j].push_back(t[j]);
     annots_.push_back(v);
     canonical_ = false;
-    sorted_distinct_ = false;
   }
   void Add(std::initializer_list<Value> t, SemiringValue v) {
     Add(std::span<const Value>(t.begin(), t.size()), v);
@@ -375,15 +344,14 @@ class Relation {
     na.resize(out);
     annots_ = std::move(na);
     canonical_ = true;
-    sorted_distinct_ = true;
     EncodeColumns(ctx);
   }
 
   /// Applies the encode-on-canonicalize policy, under `ctx`'s mode (the
   /// thread-local default context's for nullptr), to a canonical, currently
-  /// plain relation (no-op otherwise). Exposed so Build()/ConcatPieces —
-  /// which certify canonical without running Canonicalize — and tests can
-  /// trigger the same policy.
+  /// plain relation (no-op otherwise). Exposed so Build() — which certifies
+  /// canonical without running Canonicalize — and tests can trigger the
+  /// same policy.
   /// Columns the policy compresses move into encs_ and release their plain
   /// storage; the rest stay raw (their encs_ slot is a kPlain marker).
   void EncodeColumns(ExecContext* ctx = nullptr) {
@@ -487,7 +455,6 @@ class Relation {
     cols_ = std::move(nc);
     schema_ = std::move(new_schema);
     canonical_ = false;
-    sorted_distinct_ = false;
   }
 
   /// Puts the columns in `target`'s order (same variable set, any order)
@@ -507,65 +474,6 @@ class Relation {
       ReorderColumns(target, src);
     }
     Canonicalize(ctx);
-  }
-
-  /// Concatenates per-morsel pieces produced by the parallel kernel
-  /// (docs/kernel.md): each piece is the canonical output of one morsel, and
-  /// morsels are disjoint key-aligned traversal ranges in nondecreasing
-  /// order, so splicing the pieces column-by-column already yields sorted
-  /// rows. Equal boundary rows (possible only if a cut were ever to land
-  /// inside a run) are merged with ⊕ and zero annotations dropped, mirroring
-  /// RelationBuilder::Append/Build, so the result is bit-identical (per
-  /// column) to a single-builder serial run; out-of-order pieces fall back
-  /// to one Canonicalize(). The result is encoded under `ctx`'s mode.
-  static Relation ConcatPieces(Schema schema, std::vector<Relation> pieces,
-                               ExecContext* ctx = nullptr) {
-    const size_t a = schema.arity();
-    size_t rows = 0;
-    for (const Relation& p : pieces) rows += p.size();
-    std::vector<std::vector<Value>> cols(a);
-    for (std::vector<Value>& c : cols) c.reserve(rows);
-    std::vector<SemiringValue> annots;
-    annots.reserve(rows);
-    bool sorted = true;
-    for (Relation& p : pieces) {
-      if (p.empty()) continue;
-      if (!p.canonical()) sorted = false;
-      p.DecodeAll();  // splice raw values; the result re-encodes below
-      size_t start = 0;
-      if (sorted && !annots.empty()) {
-        const size_t last = annots.size() - 1;
-        int cmp = 0;
-        for (size_t k = 0; k < a && cmp == 0; ++k) {
-          const Value x = cols[k][last];
-          const Value y = p.cols_[k][0];
-          cmp = x < y ? -1 : (x > y ? 1 : 0);
-        }
-        if (cmp == 0) {
-          annots.back() = S::Add(annots.back(), p.annots_[0]);
-          start = 1;
-        } else if (cmp > 0) {
-          sorted = false;
-        }
-      }
-      for (size_t k = 0; k < a; ++k)
-        cols[k].insert(cols[k].end(), p.cols_[k].begin() + start,
-                       p.cols_[k].end());
-      annots.insert(annots.end(), p.annots_.begin() + start, p.annots_.end());
-      p = Relation();  // release the piece's storage eagerly
-    }
-    if (sorted) {
-      // Rows are sorted and distinct; one compacting pass drops annotations
-      // that merged to zero (exactly RelationBuilder::Build's sorted path).
-      detail::CompactSortedColumns<S>(&cols, &annots);
-      Relation out(std::move(schema), std::move(cols), std::move(annots),
-                   true);
-      out.EncodeColumns(ctx);
-      return out;
-    }
-    Relation out(std::move(schema), std::move(cols), std::move(annots), false);
-    out.Canonicalize(ctx);
-    return out;
   }
 
   std::string DebugString() const {
@@ -591,8 +499,7 @@ class Relation {
       : schema_(std::move(schema)),
         cols_(std::move(cols)),
         annots_(std::move(annots)),
-        canonical_(canonical),
-        sorted_distinct_(canonical) {
+        canonical_(canonical) {
     TOPOFAQ_DCHECK(cols_.size() == schema_.arity());
   }
 
@@ -612,12 +519,8 @@ class Relation {
   // Transient (cleared on mutation), excluded from ResidentKeyBytes().
   mutable std::vector<std::vector<Value>> dcache_;
   std::vector<SemiringValue> annots_;     // parallel annotation column
-  // Empty relations are trivially canonical; Add clears the flags.
+  // Empty relations are trivially canonical; Add clears the flag.
   bool canonical_ = true;
-  // Rows sorted + distinct even though canonical_ dropped — true exactly
-  // after set_annot(i, zero) on a canonical relation, letting Compact()
-  // re-certify without a sort.
-  bool sorted_distinct_ = true;
 };
 
 /// Cached per-column base pointers over a chosen column subset of one
@@ -672,8 +575,8 @@ class RelationBuilder {
         cols_(arity_) {}
 
   /// Disables encode-on-build. Morsel builders use this: their pieces are
-  /// spliced by Relation::ConcatPieces (which would decode them right
-  /// back), so only the spliced result runs the encoding policy.
+  /// spliced into one more builder as plain column views, so only the
+  /// spliced result runs the encoding policy.
   void set_encode(bool encode) { encode_ = encode; }
 
   void Reserve(size_t rows) {
@@ -702,58 +605,17 @@ class RelationBuilder {
     Append(std::span<const Value>(t.begin(), t.size()), v);
   }
 
-  /// Bulk append of a sorted, distinct column-chunk — the page-splice path
-  /// of the streaming transport (network/stream.h): one boundary compare
-  /// against the last stored row, then arity+1 range inserts, instead of a
-  /// per-row gather + compare. `cols[j]` are parallel column chunks of
-  /// `annots.size()` rows each, lexicographically ascending and distinct
-  /// (verified under TOPOFAQ_DCHECK); a chunk whose first row equals the
-  /// stored last row merges that row with S::Add, exactly Append's rule,
-  /// and a chunk starting below the stored last row clears the sorted flag
-  /// (Build() then pays its closing sort).
-  void AppendChunk(const std::vector<std::vector<Value>>& cols,
-                   std::span<const SemiringValue> annots) {
-    TOPOFAQ_DCHECK(cols.size() == arity_);
-    const size_t n = annots.size();
-    if (n == 0) return;
-#ifndef NDEBUG
-    for (size_t j = 0; j < arity_; ++j) TOPOFAQ_DCHECK(cols[j].size() == n);
-    for (size_t i = 1; i < n; ++i) {
-      int cmp = 0;
-      for (size_t j = 0; j < arity_ && cmp == 0; ++j) {
-        const Value x = cols[j][i - 1];
-        const Value y = cols[j][i];
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      TOPOFAQ_DCHECK(cmp < 0);
-    }
-#endif
-    size_t start = 0;
-    if (!annots_.empty()) {
-      const size_t last = annots_.size() - 1;
-      int cmp = 0;
-      for (size_t j = 0; j < arity_ && cmp == 0; ++j) {
-        const Value x = cols_[j][last];
-        const Value y = cols[j][0];
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp == 0) {
-        annots_.back() = S::Add(annots_.back(), annots[0]);
-        start = 1;
-      } else if (cmp > 0) {
-        sorted_ = false;
-      }
-    }
-    for (size_t j = 0; j < arity_; ++j)
-      cols_[j].insert(cols_[j].end(), cols[j].begin() + start, cols[j].end());
-    annots_.insert(annots_.end(), annots.begin() + start, annots.end());
-  }
-
-  /// AppendChunk over borrowed column sub-ranges: the delta-splice path of
-  /// incremental maintenance (ivm/delta.h) appends runs of an existing
-  /// canonical relation's columns between delta rows, so the chunks are
-  /// views into live column storage rather than owned vectors. Same
-  /// boundary-merge and sorted-flag rules as the owning overload.
+  /// Bulk append of a sorted, distinct column chunk — the one sorted
+  /// splice: the morsel concatenation of MorselRun (parallel.h), the page
+  /// splice of the streaming sink (network/stream.h) and the untouched base
+  /// runs of a delta merge (ivm/delta.h) all land here. `cols[j]` are
+  /// borrowed parallel column ranges of `annots.size()` rows each,
+  /// lexicographically ascending and distinct (verified under
+  /// TOPOFAQ_DCHECK). One boundary compare against the stored last row,
+  /// then arity+1 range inserts: a chunk whose first row equals the stored
+  /// last row merges that row with S::Add, exactly Append's rule, and a
+  /// chunk starting below it clears the sorted flag (Build() then pays its
+  /// closing sort).
   void AppendChunk(std::span<const ColumnView> cols,
                    std::span<const SemiringValue> annots) {
     TOPOFAQ_DCHECK(cols.size() == arity_);

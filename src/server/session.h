@@ -89,12 +89,6 @@ class Session {
   /// The token wired into the query's ExecContext (relation/exec.h).
   const std::atomic<bool>* cancel_token() const { return &cancel_; }
 
-  /// True once the result (or error) has been delivered.
-  bool Done() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return result_.has_value();
-  }
-
   /// Blocks until the result is delivered, then returns it. May be called
   /// repeatedly; every call sees the same outcome.
   Result<QueryResult> Wait() const {

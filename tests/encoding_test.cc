@@ -171,6 +171,59 @@ TEST(EncodedColumn, SliceSharesCodeSpace) {
     ASSERT_EQ(src.dict[later.CodeAt(i)], col[40 + i]);
 }
 
+/// PackAt-per-code reference words for `codes` at `width`.
+std::vector<uint64_t> PackAtReference(const std::vector<uint64_t>& codes,
+                                      int width) {
+  std::vector<uint64_t> words(PackedWords(codes.size(), width), 0);
+  for (size_t i = 0; i < codes.size(); ++i)
+    PackAt(words.data(), i, width, codes[i]);
+  return words;
+}
+
+TEST(EncodedColumn, SequentialPackMatchesPackAt) {
+  // For, Dict and Slice pack through one sequential word writer; its words
+  // must equal a PackAt per code, padding word included, at widths around
+  // the word and the single-load unpack boundaries, for counts that end
+  // mid-word, on a word boundary and with a straddling last code.
+  Rng rng(17);
+  for (int width : {1, 7, 14, 57, 63, 64}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                     size_t{1000}}) {
+      SCOPED_TRACE("width " + std::to_string(width) + " n " +
+                   std::to_string(n));
+      const uint64_t mask = PackMask(width);
+      const Value base = width == 64 ? 0 : 1000;
+      std::vector<uint64_t> codes(n);
+      for (uint64_t& c : codes) c = rng.NextU64() & mask;
+      if (n > 1) {  // pin the full code range
+        codes[0] = 0;
+        codes[1] = mask;
+      }
+      std::vector<Value> col(n);
+      for (size_t i = 0; i < n; ++i) col[i] = base + codes[i];
+      const EncodedColumn f = EncodedColumn::For(col, base, base + mask);
+      ASSERT_EQ(f.width, width);
+      EXPECT_EQ(f.words, PackAtReference(codes, width));
+      if (n > 2) {
+        const EncodedColumn sl = EncodedColumn::Slice(f, 1, n - 1, false);
+        EXPECT_EQ(sl.words,
+                  PackAtReference(std::vector<uint64_t>(codes.begin() + 1,
+                                                        codes.end() - 1),
+                                  width));
+      }
+      if (width <= 14 && n > 0) {  // a 2^width-entry dictionary
+        std::vector<Value> dict(size_t{1} << width);
+        for (size_t k = 0; k < dict.size(); ++k) dict[k] = 3 * k + 5;
+        std::vector<Value> dcol(n);
+        for (size_t i = 0; i < n; ++i) dcol[i] = dict[codes[i]];
+        const EncodedColumn d = EncodedColumn::Dict(dcol, dict);
+        ASSERT_EQ(d.width, width);
+        EXPECT_EQ(d.words, PackAtReference(codes, width));
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Encode-on-canonicalize policy
 // ---------------------------------------------------------------------------

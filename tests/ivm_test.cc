@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -207,6 +208,119 @@ TEST(IvmDifferential, Gf2AddIsItsOwnInverse) {
   if (::testing::Test::HasFailure()) return;
   EXPECT_TRUE(oracle.relations[0].empty());
   EXPECT_TRUE(sq->Current().empty());
+}
+
+// ---------------------------------------------------------------------------
+// The base-update merge walk against a rebuild
+// ---------------------------------------------------------------------------
+
+/// The rebuild oracle of one base update: every base row whose key is not
+/// removed, then every add row, through Add + Canonicalize (base row first
+/// in each ⊕ fold, as in the merge walk).
+template <CommutativeSemiring S>
+Relation<S> Rebuild(const Relation<S>& base, const Delta<S>& d,
+                    ExecContext* ctx) {
+  std::set<std::vector<Value>> removed;
+  for (size_t i = 0; i < d.removes.size(); ++i)
+    removed.insert(d.removes.Row(i));
+  Relation<S> r(base.schema());
+  for (size_t i = 0; i < base.size(); ++i)
+    if (!removed.count(base.Row(i))) r.Add(base.Row(i), base.annot(i));
+  for (size_t i = 0; i < d.adds.size(); ++i)
+    r.Add(d.adds.Row(i), d.adds.annot(i));
+  r.Canonicalize(ctx);
+  return r;
+}
+
+/// Applies `d` to `*base` through ApplyDeltaToRelation and asserts the
+/// bytes equal Rebuild's; in a ring, also asserts that the walk's net
+/// change C satisfies AddInto(old, C) == new base.
+template <CommutativeSemiring S>
+void CheckMerge(Relation<S>* base, Delta<S> d, ExecContext* ctx) {
+  const Relation<S> old = *base;
+  ASSERT_TRUE(CheckDelta(old, &d, ctx).ok());
+  const Relation<S> expect = Rebuild(old, d, ctx);
+  ASSERT_TRUE(ApplyDeltaToRelation(base, d, ctx).ok());
+  EXPECT_TRUE(BytesEqual(*base, expect));
+  if (!base->empty() && ctx->encoding != EncodingMode::kAuto) {
+    EXPECT_EQ(base->col_encoding(0), ForcedEncoding(ctx->encoding));
+  }
+  if constexpr (RingTraits<S>::kIsRing) {
+    Relation<S> with_change = old, change;
+    UpdateBase(&with_change, d.removes, d.adds, ctx, &change);
+    EXPECT_TRUE(BytesEqual(with_change, *base));
+    Relation<S> sum = old;
+    AddInto(&sum, change, ctx);
+    EXPECT_TRUE(BytesEqual(sum, *base));
+  }
+}
+
+/// One base per encoding mode, five deltas in sequence: first/last rows
+/// and absent rows removed; a row removed and re-added; adds that cancel
+/// (rings) or ⊕-merge into live rows; every row removed; rows added to
+/// the emptied base.
+template <CommutativeSemiring S>
+void RunMergeCases(uint64_t seed) {
+  using V = typename S::Value;
+  const uint64_t dom = 40;
+  for (EncodingMode m : {EncodingMode::kPlain, EncodingMode::kForceDict,
+                         EncodingMode::kForceFor}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)));
+    EncodingContext ctx(m);
+    Relation<S> base = RandomRelation<S>({0, 1}, 300, dom, seed, 0, &ctx);
+    ASSERT_GT(base.size(), 20u);
+    const Schema sc = base.schema();
+    auto fresh = [&sc] { return Delta<S>{Relation<S>(sc), Relation<S>(sc)}; };
+
+    Delta<S> ends = fresh();
+    ends.removes.Add(base.Row(0), S::One());
+    ends.removes.Add(base.Row(base.size() - 1), S::One());
+    ends.removes.Add({dom + 1, 0}, S::One());  // absent: past the last row
+    ends.removes.Add({0, dom + 2}, S::One());  // absent: between rows
+    ends.adds.Add({dom + 3, 1}, S::One());
+    CheckMerge(&base, std::move(ends), &ctx);
+    if (::testing::Test::HasFailure()) return;
+
+    Delta<S> readd = fresh();
+    const size_t mid = base.size() / 2;
+    readd.removes.Add(base.Row(mid), S::One());
+    readd.adds.Add(base.Row(mid), TestAnnot<S>(seed + 5));
+    readd.adds.Add(base.Row(mid + 3), TestAnnot<S>(seed + 6));  // ⊕-merges
+    CheckMerge(&base, std::move(readd), &ctx);
+    if (::testing::Test::HasFailure()) return;
+
+    Delta<S> cancel = fresh();
+    for (size_t i = 1; i < base.size(); i += 4) {
+      V v = TestAnnot<S>(i);
+      if constexpr (RingTraits<S>::kIsRing)
+        v = RingTraits<S>::Negate(base.annot(i));  // old ⊕ v == 0
+      cancel.adds.Add(base.Row(i), v);
+    }
+    const size_t before = base.size();
+    CheckMerge(&base, std::move(cancel), &ctx);
+    if (::testing::Test::HasFailure()) return;
+    if (RingTraits<S>::kIsRing) EXPECT_LT(base.size(), before);
+
+    Delta<S> wipe = fresh();
+    wipe.removes = base;
+    CheckMerge(&base, std::move(wipe), &ctx);
+    if (::testing::Test::HasFailure()) return;
+    EXPECT_TRUE(base.empty());
+
+    Delta<S> refill = fresh();
+    refill.adds = RandomRelation<S>({0, 1}, 50, dom, seed + 1);
+    CheckMerge(&base, std::move(refill), &ctx);
+    if (::testing::Test::HasFailure()) return;
+    EXPECT_FALSE(base.empty());
+  }
+}
+
+TEST(IvmDeltaMerge, MatchesRebuildAcrossSemiringsAndEncodings) {
+  RunMergeCases<NaturalSemiring>(81);  // ring: wrapping cancellation
+  if (::testing::Test::HasFailure()) return;
+  RunMergeCases<Gf2Semiring>(82);  // ring: self-inverse cancellation
+  if (::testing::Test::HasFailure()) return;
+  RunMergeCases<MinPlusSemiring>(83);  // idempotent ⊕: no net change
 }
 
 // ---------------------------------------------------------------------------

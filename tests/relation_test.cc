@@ -87,31 +87,38 @@ TEST(Relation, CanonicalFlagTracksInvariant) {
   EXPECT_TRUE(r.canonical());
 }
 
-TEST(Relation, SetAnnotToZeroClearsCanonicalFlag) {
+/// A removes-only delta of the rows of `base` at `rows`.
+template <CommutativeSemiring S>
+Delta<S> RemoveRows(const Relation<S>& base, const std::vector<size_t>& rows) {
+  Delta<S> d{Relation<S>(base.schema()), Relation<S>(base.schema())};
+  for (size_t i : rows) d.removes.Add(base.Row(i), S::One());
+  return d;
+}
+
+TEST(DeltaMerge, RemoveDropsOnlyTheMatchingRow) {
   NRel r{Schema({0})};
   r.Add({1}, 2);
   r.Add({2}, 3);
   r.Canonicalize();
-  r.set_annot(0, 7);  // nonzero overwrite keeps the invariant
+  // A remove row absent from the base is skipped and touches nothing.
+  Delta<NaturalSemiring> absent = RemoveRows(r, {});
+  absent.removes.Add({9}, 1);
+  ASSERT_TRUE(ApplyDeltaToRelation(&r, std::move(absent)).ok());
   EXPECT_TRUE(r.canonical());
-  r.set_annot(0, 0);  // zero row: invariant broken, flag must drop
-  EXPECT_FALSE(r.canonical());
-  // Compact re-certifies in one pass: rows stayed sorted and distinct, so
-  // no sort is needed, only the zero row drops.
-  r.Compact();
+  ASSERT_EQ(r.size(), 2u);
+  // Removing the first row drops only it; the result stays canonical.
+  ASSERT_TRUE(ApplyDeltaToRelation(&r, RemoveRows(r, {0})).ok());
   EXPECT_TRUE(r.canonical());
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r.at(0, 0), 2u);
+  EXPECT_EQ(r.annot(0), 3u);
 }
 
-TEST(Relation, CompactDropsEveryZeroedRowAndKeepsOrder) {
+TEST(DeltaMerge, RemovesDropEveryMatchingRowAndKeepOrder) {
   NRel r{Schema({0, 1})};
   for (Value v = 0; v < 10; ++v) r.Add({v, v + 100}, v + 1);
   r.Canonicalize();
-  r.set_annot(2, 0);
-  r.set_annot(7, 0);
-  EXPECT_FALSE(r.canonical());
-  r.Compact();
+  ASSERT_TRUE(ApplyDeltaToRelation(&r, RemoveRows(r, {2, 7})).ok());
   EXPECT_TRUE(r.canonical());
   ASSERT_EQ(r.size(), 8u);
   // Survivors keep relative order and values.
@@ -122,11 +129,11 @@ TEST(Relation, CompactDropsEveryZeroedRowAndKeepsOrder) {
   EXPECT_TRUE(r.EqualsAsFunction(expect));
 }
 
-TEST(Relation, CompactFallsBackToCanonicalizeWhenUnsorted) {
+TEST(DeltaMerge, UnsortedBaseIsCanonicalizedFirst) {
   NRel r{Schema({0})};
   r.Add({5}, 1);
-  r.Add({3}, 2);  // out of order: Compact must sort, not just drop zeros
-  r.Compact();
+  r.Add({3}, 2);  // out of order: the update must sort, not just splice
+  ASSERT_TRUE(ApplyDeltaToRelation(&r, RemoveRows(r, {})).ok());
   EXPECT_TRUE(r.canonical());
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r.at(0, 0), 3u);
@@ -177,13 +184,22 @@ TEST(RelationBuilder, CancellationDropsRowsOnSortedPath) {
   EXPECT_EQ(r.at(0, 0), 2u);
 }
 
+/// AppendChunk of owned test columns, passed as borrowed views.
+template <CommutativeSemiring S>
+void AppendCols(RelationBuilder<S>* b,
+                const std::vector<std::vector<Value>>& cols,
+                const std::vector<typename S::Value>& annots) {
+  const std::vector<ColumnView> views(cols.begin(), cols.end());
+  b->AppendChunk(views, annots);
+}
+
 TEST(RelationBuilder, AppendChunkSplicesSortedPages) {
   // The streaming-sink path: sorted distinct column chunks splice with one
   // boundary compare; an equal boundary row merges with ⊕ (Append's rule).
   RelationBuilder<NaturalSemiring> b{Schema({0, 1})};
-  b.AppendChunk({{1, 2}, {5, 0}}, std::vector<uint64_t>{2, 7});
-  b.AppendChunk({{2, 3}, {0, 9}}, std::vector<uint64_t>{4, 1});  // merges (2,0)
-  b.AppendChunk({{}, {}}, std::span<const uint64_t>{});          // empty page
+  AppendCols(&b, {{1, 2}, {5, 0}}, {2, 7});
+  AppendCols(&b, {{2, 3}, {0, 9}}, {4, 1});  // merges (2,0)
+  AppendCols(&b, {{}, {}}, {});              // empty page
   NRel r = b.Build();
   EXPECT_TRUE(r.canonical());
   ASSERT_EQ(r.size(), 3u);
@@ -194,8 +210,8 @@ TEST(RelationBuilder, AppendChunkSplicesSortedPages) {
 
 TEST(RelationBuilder, AppendChunkOutOfOrderFallsBackToCanonicalize) {
   RelationBuilder<NaturalSemiring> b{Schema({0})};
-  b.AppendChunk({{7, 9}}, std::vector<uint64_t>{1, 2});
-  b.AppendChunk({{3}}, std::vector<uint64_t>{5});  // below the stored rows
+  AppendCols(&b, {{7, 9}}, {1, 2});
+  AppendCols(&b, {{3}}, {5});  // below the stored rows
   NRel r = b.Build();
   EXPECT_TRUE(r.canonical());
   ASSERT_EQ(r.size(), 3u);
@@ -545,7 +561,7 @@ TEST(KernelOps, NonCanonicalInputsStillAgreeWithReference) {
   }
 }
 
-// --- Columnar storage: round-trip, views, ConcatPieces ---------------------
+// --- Columnar storage: round-trip, views, morsel splices ------------------
 
 TEST(Columnar, RoundTripMaterializeRowsMatchesColumns) {
   NRel r{Schema({3, 1, 7})};
@@ -607,7 +623,22 @@ TEST(Columnar, ReorderColumnsKeepsTheFunction) {
   EXPECT_EQ(permuted.annot(0), 3u);
 }
 
-TEST(ConcatPieces, SplicesSortedPiecesWithBoundaryMerge) {
+/// Splices canonical `pieces` in order through one builder, the way
+/// MorselRun concatenates its morsel outputs: each piece goes in as one
+/// AppendChunk of its (decoded) column views.
+template <CommutativeSemiring S>
+Relation<S> Splice(const Schema& schema, const std::vector<Relation<S>>& pieces,
+                   ExecContext* ctx = nullptr) {
+  RelationBuilder<S> b{schema};
+  std::vector<ColumnView> cols(schema.arity());
+  for (const Relation<S>& p : pieces) {
+    for (size_t j = 0; j < cols.size(); ++j) cols[j] = p.col(j);
+    b.AppendChunk(cols, p.annots());
+  }
+  return b.Build(ctx);
+}
+
+TEST(MorselSplice, SplicesSortedPiecesWithBoundaryMerge) {
   // Three canonical pieces in key order; the last row of piece 0 equals the
   // first row of piece 1, so the boundary rows must merge with ⊕.
   RelationBuilder<NaturalSemiring> b0{Schema({0})}, b1{Schema({0})},
@@ -621,14 +652,14 @@ TEST(ConcatPieces, SplicesSortedPiecesWithBoundaryMerge) {
   pieces.push_back(b0.Build());
   pieces.push_back(b1.Build());
   pieces.push_back(b2.Build());
-  NRel out = NRel::ConcatPieces(Schema({0}), std::move(pieces));
+  NRel out = Splice(Schema({0}), pieces);
   EXPECT_TRUE(out.canonical());
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.at(1, 0), 5u);
   EXPECT_EQ(out.annot(1), 7u);  // 3 ⊕ 4 merged across the boundary
 }
 
-TEST(ConcatPieces, BoundaryMergeToZeroDropsTheRow) {
+TEST(MorselSplice, BoundaryMergeToZeroDropsTheRow) {
   RelationBuilder<Gf2Semiring> b0{Schema({0})}, b1{Schema({0})};
   b0.Append({1}, 1);
   b0.Append({4}, 1);
@@ -637,44 +668,44 @@ TEST(ConcatPieces, BoundaryMergeToZeroDropsTheRow) {
   std::vector<Relation<Gf2Semiring>> pieces;
   pieces.push_back(b0.Build());
   pieces.push_back(b1.Build());
-  auto out = Relation<Gf2Semiring>::ConcatPieces(Schema({0}),
-                                                 std::move(pieces));
+  auto out = Splice(Schema({0}), pieces);
   EXPECT_TRUE(out.canonical());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.at(0, 0), 1u);
   EXPECT_EQ(out.at(1, 0), 6u);
 }
 
-TEST(ConcatPieces, OutOfOrderPiecesFallBackToCanonicalize) {
+TEST(MorselSplice, OutOfOrderPiecesFallBackToCanonicalize) {
   RelationBuilder<NaturalSemiring> b0{Schema({0})}, b1{Schema({0})};
   b0.Append({8}, 1);
   b1.Append({2}, 1);  // starts below piece 0's last key
   std::vector<NRel> pieces;
   pieces.push_back(b0.Build());
   pieces.push_back(b1.Build());
-  NRel out = NRel::ConcatPieces(Schema({0}), std::move(pieces));
+  NRel out = Splice(Schema({0}), pieces);
   EXPECT_TRUE(out.canonical());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.at(0, 0), 2u);
   EXPECT_EQ(out.at(1, 0), 8u);
 }
 
-// --- Delta workloads: Compact / ConcatPieces under repeated updates --------
+// --- Delta workloads: merges and splices under repeated updates -----------
 //
-// The IVM base-update path (ivm/delta.h) leans on exactly two storage
-// operations: set_annot-to-zero + Compact (deletes) and sorted splices with
-// boundary ⊕ (inserts). These tests pin those operations under *repeated*
-// application — interleaved zero runs, boundary rows whose annotations split
-// or cancel, and encoded columns where every mutation must decode first.
+// The IVM base update (ivm/delta.h) and the morsel concatenation
+// (relation/parallel.h) both splice sorted runs through
+// RelationBuilder::AppendChunk. These tests pin that splice under
+// *repeated* application — interleaved runs of removed rows, boundary rows
+// whose annotations split or cancel, and encoded columns that must decode
+// before the splice.
 
-TEST(DeltaWorkload, RepeatedZeroRunCompactionMatchesRebuild) {
+TEST(DeltaWorkload, RepeatedRunRemovalMatchesRebuild) {
   EncodingContext plain(EncodingMode::kPlain);
   const uint64_t seed = 881;
   NRel r = RandomRelation<NaturalSemiring>({0, 1}, 5000, 48, seed, 2, &plain);
   for (int round = 0; round < 6 && r.size() > 100; ++round) {
     SCOPED_TRACE(InstanceLabel("round " + std::to_string(round), seed));
-    // Zero interleaved runs of rows — what a delete delta leaves behind —
-    // including the very first and very last row of the relation.
+    // Remove interleaved runs of rows, including the very first and very
+    // last row of the relation.
     const size_t run = 7 + static_cast<size_t>(round);
     const size_t last = r.size() - 1;
     auto dropped = [&](size_t i) {
@@ -689,20 +720,20 @@ TEST(DeltaWorkload, RepeatedZeroRunCompactionMatchesRebuild) {
       expect.Add(row, r.annot(i));
     }
     expect.Canonicalize(&plain);
+    std::vector<size_t> rows;
     for (size_t i = 0; i < r.size(); ++i)
-      if (dropped(i)) r.set_annot(i, 0);
-    r.Compact(&plain);
+      if (dropped(i)) rows.push_back(i);
+    ASSERT_TRUE(ApplyDeltaToRelation(&r, RemoveRows(r, rows), &plain).ok());
     EXPECT_TRUE(r.canonical());
     EXPECT_FALSE(r.any_encoded());
     EXPECT_TRUE(BytesEqual(r, expect));
   }
 }
 
-TEST(DeltaWorkload, CompactOnEncodedColumnsDecodesFirst) {
-  // The mutator-decodes-first contract under repeated delta application:
-  // set_annot on dict/FOR-encoded storage must drop to plain values before
-  // writing, and Compact re-encodes — every round, bytes must match the
-  // all-plain twin.
+TEST(DeltaWorkload, RemovesOnEncodedColumnsMatchPlain) {
+  // Repeated removes on dict/FOR-encoded storage: the merge decodes the base
+  // before splicing and Build re-encodes — every round, bytes must match
+  // the all-plain twin.
   const uint64_t seed = 883;
   EncodingContext plain(EncodingMode::kPlain);
   for (EncodingMode m : {EncodingMode::kForceDict, EncodingMode::kForceFor}) {
@@ -716,15 +747,12 @@ TEST(DeltaWorkload, CompactOnEncodedColumnsDecodesFirst) {
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE(InstanceLabel("round " + std::to_string(round), seed));
       ASSERT_EQ(enc.size(), oracle.size());
-      auto dropped = [&](size_t i) {
-        return i % 5 == static_cast<size_t>(round) % 5;
-      };
+      std::vector<size_t> rows;
       for (size_t i = 0; i < oracle.size(); ++i)
-        if (dropped(i)) oracle.set_annot(i, 0);
-      oracle.Compact(&plain);
-      for (size_t i = 0; i < enc.size(); ++i)
-        if (dropped(i)) enc.set_annot(i, 0);
-      enc.Compact(&force);
+        if (i % 5 == static_cast<size_t>(round) % 5) rows.push_back(i);
+      const Delta<NaturalSemiring> d = RemoveRows(oracle, rows);
+      ASSERT_TRUE(ApplyDeltaToRelation(&oracle, d, &plain).ok());
+      ASSERT_TRUE(ApplyDeltaToRelation(&enc, d, &force).ok());
       EXPECT_TRUE(enc.any_encoded());  // forced modes re-encode
       EXPECT_TRUE(enc.canonical());
       EXPECT_TRUE(BytesEqual(enc, oracle));  // BytesEqual decodes
@@ -777,8 +805,9 @@ TEST(DeltaWorkload, RepeatedBoundarySplittingSplicesReassembleTheBytes) {
       cuts.push_back(static_cast<size_t>(c) + 1);
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    NRel out = NRel::ConcatPieces(
-        base.schema(), SplitWithBoundaryOverlap(base, cuts, &plain), &plain);
+    NRel out =
+        Splice(base.schema(), SplitWithBoundaryOverlap(base, cuts, &plain),
+               &plain);
     EXPECT_TRUE(out.canonical());
     EXPECT_FALSE(out.any_encoded());
     EXPECT_TRUE(BytesEqual(out, base));
@@ -788,8 +817,9 @@ TEST(DeltaWorkload, RepeatedBoundarySplittingSplicesReassembleTheBytes) {
 
 TEST(DeltaWorkload, EncodedPiecesSpliceBitIdenticalToPlain) {
   // Pieces arriving already dict/FOR-encoded (a delta shipped over the
-  // stream transport lands encoded): ConcatPieces decodes to splice and the
-  // output bytes must match the all-plain splice of the same pieces.
+  // stream transport lands encoded): the splice reads their decoded views
+  // and the output bytes must match the all-plain splice of the same
+  // pieces.
   const uint64_t seed = 887;
   EncodingContext plain(EncodingMode::kPlain);
   NRel base =
@@ -800,7 +830,7 @@ TEST(DeltaWorkload, EncodedPiecesSpliceBitIdenticalToPlain) {
     EncodingContext force(m);
     std::vector<NRel> pieces = SplitWithBoundaryOverlap(base, cuts, &force);
     ASSERT_TRUE(pieces[0].any_encoded());
-    NRel out = NRel::ConcatPieces(base.schema(), std::move(pieces), &plain);
+    NRel out = Splice(base.schema(), pieces, &plain);
     EXPECT_TRUE(out.canonical());
     EXPECT_FALSE(out.any_encoded());
     EXPECT_TRUE(BytesEqual(out, base));
@@ -829,18 +859,18 @@ TEST(DeltaWorkload, CancellingSpliceDropsRowsAndCanEmptyTheRelation) {
   std::vector<GRel> pieces;
   pieces.push_back(b0.Build(&plain));
   pieces.push_back(b1.Build(&plain));
-  GRel out = GRel::ConcatPieces(base.schema(), std::move(pieces), &plain);
+  GRel out = Splice(base.schema(), pieces, &plain);
   EXPECT_TRUE(out.canonical());
   GRel expect = base;
-  expect.set_annot(cut - 1, 0);
-  expect.Compact(&plain);
+  ASSERT_TRUE(
+      ApplyDeltaToRelation(&expect, RemoveRows(base, {cut - 1}), &plain).ok());
   EXPECT_TRUE(BytesEqual(out, expect));
 
   // Full self-cancellation: every row pairs off, the result is empty.
   std::vector<GRel> both;
   both.push_back(out);
   both.push_back(out);
-  GRel empty = GRel::ConcatPieces(out.schema(), std::move(both), &plain);
+  GRel empty = Splice(out.schema(), both, &plain);
   EXPECT_TRUE(empty.empty());
   EXPECT_TRUE(empty.canonical());
 }
