@@ -17,8 +17,13 @@
 // Workload: the Example 2.1/2.2 star intersection (full-overlap first
 // attribute) over the Natural semiring on a line topology — the shape whose
 // round count the paper pins at Θ(N), so the async makespan has a meaningful
-// ledger to compare against. Rows are appended to BENCH_relation_ops.json
-// via --out and gated by bench/check_bench_regression.py.
+// ledger to compare against. Both clocks run each star on the same Steiner
+// packing (a multicast of the center down it and a convergecast of the
+// aggregated values up it) and each gather on the same routes, so the
+// makespan/rounds ratio isolates what the event clock adds: actual bytes,
+// page store-and-forward, and the overlap of phases and stars. Rows are
+// appended to BENCH_relation_ops.json via --out and gated by
+// bench/check_bench_regression.py.
 #include <cstdio>
 #include <cstring>
 #include <string>

@@ -50,12 +50,12 @@ struct LinkParams {
 /// transport (stream.h) stores typed relation pages in it; only `bits` is
 /// charged against the channel.
 struct Packet {
-  NodeId src = -1;  ///< originating endpoint (not the current hop)
-  NodeId dst = -1;  ///< final destination
+  NodeId src = -1;  ///< node sending this hop
+  NodeId dst = -1;  ///< node receiving this hop
   int64_t bits = 0;
   uint64_t stream = 0;  ///< stream id (transport-level demultiplexing)
   int64_t seq = 0;      ///< page sequence number within the stream
-  int hop = 0;          ///< index of the current node on the stream's route
+  int hop = 0;          ///< sender's depth in the stream's tree
   bool control = false; ///< true for credit/ack packets
   std::shared_ptr<void> payload;
 };

@@ -239,9 +239,8 @@ int64_t ConvergecastItems(SyncNetwork* net, const RootedTree& tree,
   return round;
 }
 
-int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
-                    NodeId target, int64_t start_round) {
-  const Graph& g = net->graph();
+std::vector<std::vector<NodeId>> GatherRoutes(
+    const Graph& g, const std::vector<FlowDemand>& demands, NodeId target) {
   // Congestion-aware static routing: biggest demands pick paths first;
   // edge weight grows with load already assigned.
   std::vector<std::vector<NodeId>> paths(demands.size());
@@ -255,7 +254,7 @@ int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
   for (const auto& d : demands) total_bits += static_cast<double>(d.bits);
   for (size_t idx : order) {
     const NodeId s = demands[idx].source;
-    if (s == target || demands[idx].bits == 0) {
+    if (s == target) {
       paths[idx] = {target};
       continue;
     }
@@ -280,8 +279,7 @@ int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
         }
       }
     }
-    TOPOFAQ_CHECK_MSG(par_edge[target] >= 0 || s == target,
-                      "gather source disconnected");
+    TOPOFAQ_CHECK_MSG(par_edge[target] >= 0, "gather source disconnected");
     std::vector<NodeId> path{target};
     for (NodeId v = target; v != s;) {
       const int e = par_edge[v];
@@ -292,6 +290,14 @@ int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
     std::reverse(path.begin(), path.end());
     paths[idx] = std::move(path);
   }
+  return paths;
+}
+
+int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
+                    NodeId target, int64_t start_round) {
+  const Graph& g = net->graph();
+  const std::vector<std::vector<NodeId>> paths =
+      GatherRoutes(g, demands, target);
 
   // Store-and-forward simulation: buf[i][h] = bits of demand i waiting at
   // hop h of its path. Round-robin order rotates for fairness on shared

@@ -74,9 +74,16 @@ struct FlowDemand {
   int64_t bits;
 };
 
-/// Routes every demand to `target` with store-and-forward pipelining.
-/// Paths are chosen congestion-aware (successive least-loaded shortest
-/// paths). Returns the round at which the last bit arrives.
+/// Congestion-aware routes of a gather (successive least-loaded shortest
+/// paths: the biggest demand picks first, and an edge's weight grows with
+/// the bits already routed over it). One node path per demand, from its
+/// source to `target`; a source at `target` gets the one-node path.
+std::vector<std::vector<NodeId>> GatherRoutes(
+    const Graph& g, const std::vector<FlowDemand>& demands, NodeId target);
+
+/// Routes every demand to `target` along its GatherRoutes path with
+/// store-and-forward pipelining. Returns the round at which the last bit
+/// arrives.
 int64_t GatherFlows(SyncNetwork* net, const std::vector<FlowDemand>& demands,
                     NodeId target, int64_t start_round);
 

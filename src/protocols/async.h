@@ -2,27 +2,32 @@
 // (network/async.h) with the streaming relation transport
 // (network/stream.h). The protocols themselves are written once in
 // schedule.h; this file supplies the clock that prices their steps in
-// simulated time:
+// simulated time, on the same transport plans the round ledger uses:
 //
 //  * RunTrivialProtocolAsync    — every relation is *streamed* to the sink
 //                                 as fixed-size column-chunk pages under the
-//                                 per-node page budget; the sink solves over
-//                                 the reassembled relations.
+//                                 per-node page budget, each along the
+//                                 congestion-aware route the ledger's
+//                                 GatherFlows picks (GatherRoutes); the sink
+//                                 solves over the reassembled relations.
 //  * RunCoreForestProtocolAsync — the Theorem 4.1/5.2 star elimination as a
 //                                 dependency DAG of simulated events: each
-//                                 star streams its center relation to the
-//                                 remote leaf owners, leaves compute their
-//                                 messages and stream them back, and the
-//                                 center folds them in. Stars in disjoint
-//                                 subtrees overlap in simulated time, and
-//                                 every transfer overlaps with whatever local
-//                                 kernel work is ready — the communication/
-//                                 computation overlap the round ledger
-//                                 cannot express.
+//                                 star pages its center relation down the
+//                                 ledger's packed Steiner trees (StarTrees)
+//                                 and runs one convergecast of aggregated
+//                                 values per tree back to the center, which
+//                                 folds the messages in. Stars in disjoint
+//                                 subtrees overlap in simulated time, a
+//                                 convergecast trails its multicast page by
+//                                 page, and every transfer overlaps with
+//                                 whatever local kernel work is ready — the
+//                                 communication/computation overlap the
+//                                 round ledger cannot express.
 //
 // Answers are bit-identical — per column and per annotation bit pattern —
 // to RunTrivialProtocol / RunCoreForestProtocol at every parallelism level
-// and page budget: the schedule is the same, and the reassembly is bit-exact.
+// and page budget: the schedule is the same, a star's messages pass through
+// the clock as they do on the ledger, and every reassembly is bit-exact.
 // What changes is the cost model: ProtocolStats reports a continuous
 // makespan, actual transferred bits (pages + framing + credits), peak
 // in-flight pages, and per-edge utilization instead of a round count.
@@ -32,7 +37,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -64,8 +68,9 @@ struct AsyncProtocolOptions {
 /// synchronous round's budget per time unit and a latency of one unit per
 /// hop, so makespans are directly comparable to round counts. Compute tasks
 /// cost no simulated time but still go through the event heap, so they
-/// interleave with transfers in event order. Transfers deliver the
-/// reassembled relation.
+/// interleave with transfers in event order. Sends and gathers deliver the
+/// reassembled relation; a star exchange passes its messages through, as
+/// the ledger does.
 template <CommutativeSemiring S>
 class EventClock {
  public:
@@ -88,6 +93,7 @@ class EventClock {
       : net_(inst.topology,
              LinkParams{1.0, static_cast<double>(d.capacity_bits)}),
         streams_(&net_, opts.stream, ctx),
+        capacity_bits_(d.capacity_bits),
         bits_per_attr_(d.bits_per_attr),
         trace_(opts.trace) {
     if (trace_ != nullptr) {
@@ -112,8 +118,9 @@ class EventClock {
     net_.ScheduleAfter(0, std::move(fn));
   }
 
-  /// src == dst delivers at once; otherwise the relation streams from a
-  /// copy the clock holds until the last page is consumed.
+  /// src == dst delivers at once; otherwise the relation streams along a
+  /// shortest path from a copy the clock holds until the last page is
+  /// consumed.
   void Send(NodeId src, NodeId dst, Relation<S> rel, Delivery<S> done) {
     if (src == dst) {
       done(std::move(rel));
@@ -126,6 +133,9 @@ class EventClock {
                           });
   }
 
+  /// Each remote part streams along the route the ledger's GatherFlows
+  /// picks for it (GatherRoutes: congestion-aware, biggest part first);
+  /// parts already at the sink deliver at once.
   void Gather(std::vector<GatherPart<S>> parts, NodeId sink,
               std::function<void(std::vector<Relation<S>>)> done) {
     struct State {
@@ -133,60 +143,81 @@ class EventClock {
       size_t pending;
       std::function<void(std::vector<Relation<S>>)> done;
     };
-    auto st = std::make_shared<State>(
-        State{std::vector<Relation<S>>(parts.size()), parts.size(),
-              std::move(done)});
+    auto st = std::make_shared<State>(State{
+        std::vector<Relation<S>>(parts.size()), parts.size(), std::move(done)});
+    auto arrive = [st](size_t i, Relation<S> r) {
+      st->delivered[i] = std::move(r);
+      if (--st->pending == 0) st->done(std::move(st->delivered));
+    };
+    std::vector<FlowDemand> demands;
+    std::vector<size_t> remote;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (parts[i].owner == sink) continue;
+      demands.push_back(
+          {parts[i].owner, parts[i].rel.EncodedBits(bits_per_attr_)});
+      remote.push_back(i);
+    }
+    const std::vector<std::vector<NodeId>> routes =
+        GatherRoutes(net_.graph(), demands, sink);
+    for (size_t r = 0; r < remote.size(); ++r) {
+      auto held =
+          std::make_shared<const Relation<S>>(std::move(parts[remote[r]].rel));
+      streams_.SendAlong(routes[r], *held, bits_per_attr_,
+                         [held, arrive, i = remote[r]](Relation<S> rel) {
+                           arrive(i, std::move(rel));
+                         });
+    }
+    // Remote parts arrive in later events, so the last local part here can
+    // complete the gather only when nothing was remote.
     for (size_t i = 0; i < parts.size(); ++i)
-      Send(parts[i].owner, sink, std::move(parts[i].rel),
-           [st, i](Relation<S> r) {
-             st->delivered[i] = std::move(r);
-             if (--st->pending == 0) st->done(std::move(st->delivered));
-           });
+      if (parts[i].owner == sink) arrive(i, std::move(parts[i].rel));
   }
 
-  /// One broadcast stream per remote leaf owner (Algorithm 1 step 3, as
-  /// actual paged bytes), after which that owner's leaves compute their
-  /// messages. Local leaves — and every leaf when the center is empty,
-  /// where the ledger also skips the broadcast — start at once.
+  /// The ledger's exchange, paged (Algorithm 1 steps 3–4). The center's
+  /// rows are cut into one chunk per packed Steiner tree, as
+  /// MultiTreeBroadcast splits bits, and each chunk streams down its tree.
+  /// Up each tree runs a convergecast of `S::kValueBits` per center row of
+  /// the tree's chunk: a node combines the values of center page s once it
+  /// holds that page, so the convergecast trails the multicast page by
+  /// page. The convergecast carries bits only — the center folds the exact
+  /// messages, which the clock passes through, so answers match the
+  /// ledger's. Every leaf computes its message at once, from its own state:
+  /// a zero-delay task, so it precedes every page of the exchange.
   void Exchange(StarStep<S> star) {
+    std::vector<RootedTree> trees = internal::StarTrees(
+        net_.graph(), capacity_bits_, bits_per_attr_, star);
+    const size_t rows = star.center_rel->size();
+    size_t chunk = 0;
+    if (!trees.empty()) {
+      chunk = (rows + trees.size() - 1) / trees.size();
+      trees.resize((rows + chunk - 1) / chunk);  // trees with a non-empty chunk
+    }
     struct State {
       StarStep<S> star;
       std::vector<Relation<S>> messages;
-      size_t pending;
+      size_t pending;  // leaf messages + convergecasts still open
     };
     const size_t n = star.leaf_owners.size();
     auto st = std::make_shared<State>(
-        State{std::move(star), std::vector<Relation<S>>(n), n});
-    const StarStep<S>& s = st->star;
-    // Leaf k computes its message at its owner and sends it to the center
-    // owner; the last message to arrive completes the exchange.
-    auto leaf = [this, st](size_t k) {
-      const NodeId owner = st->star.leaf_owners[k];
-      Compute("compute_message", owner, st->star.leaf_rows[k],
-              [this, st, k, owner] {
-                Send(owner, st->star.center_owner, st->star.leaf_message(k),
-                     [st, k](Relation<S> m) {
-                       st->messages[k] = std::move(m);
-                       if (--st->pending == 0)
-                         st->star.done(std::move(st->messages));
-                     });
-              });
+        State{std::move(star), std::vector<Relation<S>>(n), n + trees.size()});
+    auto finish = [st] {
+      if (--st->pending == 0) st->star.done(std::move(st->messages));
     };
-    std::map<NodeId, std::vector<size_t>> by_owner;
-    for (size_t k = 0; k < n; ++k) by_owner[s.leaf_owners[k]].push_back(k);
-    const bool broadcast = !s.center_rel->empty();
-    for (const auto& [owner, kids] : by_owner) {
-      if (owner == s.center_owner || !broadcast) {
-        for (size_t k : kids) leaf(k);
-        continue;
-      }
-      // The delivered copy only models the broadcast's bytes; leaves
-      // compute their messages from their own state.
-      streams_.SendRelation(s.center_owner, owner, *s.center_rel,
-                            bits_per_attr_, [leaf, kids](Relation<S>) {
-                              for (size_t k : kids) leaf(k);
-                            });
+    for (size_t t = 0; t < trees.size(); ++t) {
+      const size_t begin = t * chunk, end = std::min(rows, begin + chunk);
+      // Nobody rebuilds the chunk: the leaves read their rows off the pages
+      // as they pass, which is what paces the convergecast.
+      const uint64_t down =
+          streams_.Multicast(trees[t], {}, *st->star.center_rel, begin, end,
+                             bits_per_attr_, [](NodeId, Relation<S>) {});
+      streams_.Convergecast(down, finish);
     }
+    for (size_t k = 0; k < n; ++k)
+      Compute("compute_message", st->star.leaf_owners[k],
+              st->star.leaf_rows[k], [st, k, finish] {
+                st->messages[k] = st->star.leaf_message(k);
+                finish();
+              });
   }
 
   void Run() { net_.Run(); }
@@ -207,6 +238,7 @@ class EventClock {
  private:
   AsyncNetwork net_;
   StreamNet<S> streams_;
+  int64_t capacity_bits_;
   int bits_per_attr_;
   obs::TraceSession* trace_;
   std::vector<uint32_t> tracks_;  // per node: track id + 1; 0 = unregistered

@@ -94,27 +94,14 @@ class LedgerClock {
   /// flows down the trees in chunks, and the Theorem 3.11 combine flows up
   /// as a pipelined convergecast of the |R_center| aggregated values.
   void Exchange(StarStep<S> star) {
-    constexpr uint64_t kPlanSeed = 0xfa0;
-    const NodeId co = star.center_owner;
-    std::vector<NodeId> k_star{co};
-    for (NodeId o : star.leaf_owners)
-      if (o != co) k_star.push_back(o);
-    std::sort(k_star.begin(), k_star.end());
-    k_star.erase(std::unique(k_star.begin(), k_star.end()), k_star.end());
-    const int64_t center_bits = star.center_rel->EncodedBits(bits_per_attr_);
-    const int64_t n_items = static_cast<int64_t>(star.center_rel->size());
-    if (k_star.size() > 1 && n_items > 0) {
-      const int64_t star_bits = center_bits + n_items * S::kValueBits;
-      const int64_t plan_items = std::max<int64_t>(
-          1, CeilDiv(star_bits, net_.capacity_bits()));
-      IntersectionPlan plan = PlanIntersection(
-          net_.graph(), k_star, plan_items, kPlanSeed + star.center);
-      std::vector<RootedTree> trees;
-      for (const SteinerTree& t : plan.trees)
-        trees.push_back(OrientTree(net_.graph(), t.edges, co));
-      round_ = MultiTreeBroadcast(&net_, trees, center_bits, round_);
+    const std::vector<RootedTree> trees = internal::StarTrees(
+        net_.graph(), net_.capacity_bits(), bits_per_attr_, star);
+    if (!trees.empty()) {
+      round_ = MultiTreeBroadcast(
+          &net_, trees, star.center_rel->EncodedBits(bits_per_attr_), round_);
       const int64_t chunk =
-          CeilDiv(n_items, static_cast<int64_t>(trees.size()));
+          CeilDiv(static_cast<int64_t>(star.center_rel->size()),
+                  static_cast<int64_t>(trees.size()));
       int64_t finish = round_;
       for (const RootedTree& tree : trees)
         finish = std::max(finish, ConvergecastItems(&net_, tree, chunk,

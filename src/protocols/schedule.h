@@ -30,19 +30,23 @@
 //   void Fill(ProtocolStats* stats) const;
 //
 //  * LedgerClock (distributed.h) prices steps on the Model 2.1 round ledger
-//    (SyncNetwork): a star exchange is a Steiner packing, a multi-tree
-//    broadcast and a convergecast; a gather is congestion-aware GatherFlows.
+//    (SyncNetwork): a star exchange is a Steiner packing (StarTrees), a
+//    multi-tree broadcast and a convergecast; a gather is congestion-aware
+//    GatherFlows.
 //    It passes the sender's relation through.
 //  * EventClock (async.h) prices steps on the event simulator (AsyncNetwork
-//    + StreamNet): every transfer streams pages under the per-node budget,
-//    and compute tasks go through the event heap at zero delay, so stars in
-//    disjoint subtrees overlap in simulated time. It delivers the
-//    reassembled relation.
+//    + StreamNet) over the same plans: a star exchange pages the center down
+//    the same Steiner packing and convergecasts the aggregated values up
+//    it; a gather streams each part along its GatherRoutes route. Every
+//    page goes under the per-node budget, and compute tasks go through the
+//    event heap at zero delay, so stars in disjoint subtrees overlap in
+//    simulated time. Sends and gathers deliver the reassembled relation.
 //
 // Since both clocks run the same steps on the same operands in the same
-// kid order, and the streaming transport's reassembly is bit-exact, answers
-// are bit-identical — per column and per annotation bit pattern — across
-// clocks, parallelism levels and page budgets.
+// kid order, star messages pass through both clocks, and the streaming
+// transport's reassembly is bit-exact, answers are bit-identical — per
+// column and per annotation bit pattern — across clocks, parallelism levels
+// and page budgets.
 #ifndef TOPOFAQ_PROTOCOLS_SCHEDULE_H_
 #define TOPOFAQ_PROTOCOLS_SCHEDULE_H_
 
@@ -54,7 +58,9 @@
 
 #include "faq/solvers.h"
 #include "ghd/width.h"
+#include "network/primitives.h"
 #include "protocols/instance.h"
+#include "util/bits.h"
 
 namespace topofaq {
 
@@ -87,6 +93,36 @@ struct StarStep {
 };
 
 namespace internal {
+
+/// The packing a star exchange runs on, shared by both clocks (Theorem
+/// 3.11): edge-disjoint Steiner trees spanning K_star = the center owner
+/// and the leaf owners, planned for the center's bits plus its |R_center|
+/// aggregated values, each oriented at the center owner. Empty when the
+/// star moves nothing: every leaf is at the center owner, or the center
+/// relation is empty.
+template <CommutativeSemiring S>
+std::vector<RootedTree> StarTrees(const Graph& g, int64_t capacity_bits,
+                                  int bits_per_attr, const StarStep<S>& star) {
+  constexpr uint64_t kPlanSeed = 0xfa0;
+  const NodeId co = star.center_owner;
+  std::vector<NodeId> k_star{co};
+  for (NodeId o : star.leaf_owners)
+    if (o != co) k_star.push_back(o);
+  std::sort(k_star.begin(), k_star.end());
+  k_star.erase(std::unique(k_star.begin(), k_star.end()), k_star.end());
+  const int64_t n_items = static_cast<int64_t>(star.center_rel->size());
+  std::vector<RootedTree> trees;
+  if (k_star.size() <= 1 || n_items == 0) return trees;
+  const int64_t star_bits =
+      star.center_rel->EncodedBits(bits_per_attr) + n_items * S::kValueBits;
+  const int64_t plan_items =
+      std::max<int64_t>(1, CeilDiv(star_bits, capacity_bits));
+  IntersectionPlan plan =
+      PlanIntersection(g, k_star, plan_items, kPlanSeed + star.center);
+  for (const SteinerTree& t : plan.trees)
+    trees.push_back(OrientTree(g, t.edges, co));
+  return trees;
+}
 
 /// F ⊆ χ(root), the Appendix G.5 restriction the core-forest protocol keeps
 /// (the central GHD pass has no such restriction).

@@ -267,16 +267,10 @@ __attribute__((target("avx2"))) Frontier NextMatchU64Avx2(
     }
   }
   if (blocks != nullptr) *blocks += static_cast<int64_t>(nb);
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      return {i, j, Frontier::kMatch};
-    }
-  }
-  return {i, j, Frontier::kExhausted};
+  // Fewer than one vector of lanes left on a side: the scalar walk finishes
+  // under the same step budget, so a short side never walks the other's
+  // whole range.
+  return ScalarNextMatch(a, i, an, b, j, bn, max_blocks);
 }
 
 __attribute__((target("avx2"))) Frontier NextMatchU32Avx2(
@@ -320,16 +314,10 @@ __attribute__((target("avx2"))) Frontier NextMatchU32Avx2(
     }
   }
   if (blocks != nullptr) *blocks += static_cast<int64_t>(nb);
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      return {i, j, Frontier::kMatch};
-    }
-  }
-  return {i, j, Frontier::kExhausted};
+  // Fewer than one vector of lanes left on a side: the scalar walk finishes
+  // under the same step budget, so a short side never walks the other's
+  // whole range.
+  return ScalarNextMatch(a, i, an, b, j, bn, max_blocks);
 }
 
 /// Quad-window unpack + decode into 64-bit lanes (widths <= 14): one scalar

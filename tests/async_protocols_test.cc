@@ -4,9 +4,12 @@
 // every instance, across semirings and parallelism levels, while obeying
 // the streaming transport's page budget and reporting makespan/utilization.
 //
-// CI also runs this suite with TOPOFAQ_PAGE_BUDGET=2 (a hard per-node page
-// budget far below the payload sizes below), which forces the
+// CI also runs this suite with TOPOFAQ_PAGE_BUDGET=2 and =1 (hard per-node
+// page budgets far below the payload sizes below), which force the
 // larger-than-budget backpressure path through every differential case.
+// The AsyncAcceptance cost-shape cases pin their own budget: they assert
+// that the event clock, running on the ledger's transport plans, stays
+// within 1.25x of the ledger's rounds and bits.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -274,6 +277,92 @@ TEST(AsyncAcceptance, UtilizationIsReportedPerEdge) {
   for (double u : async->stats.edge_utilization) {
     EXPECT_GE(u, 0.0);
     EXPECT_LE(u, 1.0);
+  }
+}
+
+// ------------------------------- acceptance: the event clock's cost shape
+
+/// The event clock prices each step on the ledger's transport plans (the
+/// same Steiner packing per star, the same gather routes), so its makespan
+/// and wire bits stay within 1.25x of the ledger's rounds and bits. The
+/// stream options are pinned (a budget of 8, perfbench's) so
+/// TOPOFAQ_PAGE_BUDGET cannot move the costs: a budget of 1 or 2 trades
+/// throughput for memory by design. So is the encoding: the ledger prices
+/// columns plain, and a forced dictionary on a wide column can outweigh the
+/// column itself.
+template <CommutativeSemiring S>
+void ExpectWithinLedger(DistInstance<S> inst, const char* name,
+                        size_t page_rows = 1024) {
+  SCOPED_TRACE(name);
+  for (Relation<S>& r : inst.query.relations) r.DecodeAll();
+  ExecContext plain;
+  plain.encoding = EncodingMode::kPlain;
+  AsyncProtocolOptions opts;
+  opts.stream.page_rows = page_rows;
+  opts.stream.node_page_budget = 8;
+  constexpr double kSlack = 1.25;
+  for (bool forest : {false, true}) {
+    SCOPED_TRACE(forest ? "core forest" : "trivial");
+    auto sync = forest ? RunCoreForestProtocol(inst, {}, &plain)
+                       : RunTrivialProtocol(inst, {}, &plain);
+    auto async = forest ? RunCoreForestProtocolAsync(inst, opts, &plain)
+                        : RunTrivialProtocolAsync(inst, opts, &plain);
+    ASSERT_TRUE(sync.ok() && async.ok());
+    EXPECT_TRUE(BytesEqual(sync->answer, async->answer));
+    EXPECT_LE(async->stats.makespan,
+              kSlack * static_cast<double>(sync->stats.rounds));
+    EXPECT_LE(static_cast<double>(async->stats.total_bits),
+              kSlack * static_cast<double>(sync->stats.total_bits));
+  }
+}
+
+/// One (H, G) instance of perfbench's protocol suite: 12-bit attributes,
+/// `n` rows per relation.
+DistInstance<NaturalSemiring> SuiteInstance(Hypergraph h, Graph g,
+                                            std::vector<NodeId> owners,
+                                            NodeId sink, int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Relation<NaturalSemiring>> rels;
+  for (int e = 0; e < h.num_edges(); ++e)
+    rels.push_back(RandomRelation<NaturalSemiring>(h.edge(e), n, 4096, &rng));
+  DistInstance<NaturalSemiring> inst;
+  inst.query = MakeFaqSS<NaturalSemiring>(std::move(h), std::move(rels), {});
+  inst.topology = std::move(g);
+  inst.owners = std::move(owners);
+  inst.sink = sink;
+  inst.bits_per_attr = 12;
+  return inst;
+}
+
+TEST(AsyncAcceptance, MakespanAndBitsWithinLedgerOnSuiteShapes) {
+  ExpectWithinLedger(SuiteInstance(StarGraph(4), LineTopology(5),
+                                   {0, 1, 2, 3}, 4, 10000, 31),
+                     "star-4 on line-5");
+  ExpectWithinLedger(SuiteInstance(PathGraph(4), GridTopology(3, 3),
+                                   {0, 2, 6, 8}, 4, 10000, 32),
+                     "path-4 on grid-3x3");
+  ExpectWithinLedger(SuiteInstance(CycleGraph(3), RingTopology(6), {0, 2, 4},
+                                   3, 10000, 33),
+                     "triangle on ring-6");
+}
+
+/// The differential sweeps' random instances, grown to 2,000 tuples over
+/// 12-bit values and paged 64 rows at a time, so every relation spans
+/// dozens of pages. A relation of one page pays its store-and-forward
+/// delay on every hop of its route, which the ledger's bit-level
+/// pipelining never does, so the ratio on the 12-tuple sweeps measures
+/// latency rather than the transport plan.
+TEST(AsyncAcceptance, MakespanAndBitsWithinLedgerOnRandomInstances) {
+  for (int seed = 0; seed < 3; ++seed) {
+    const Graph topo = (seed % 2 == 0) ? Graph(LineTopology(5))
+                                       : Graph(CliqueTopology(5));
+    ExpectWithinLedger(
+        RandomInstance<NaturalSemiring>(520 + seed, topo, 2000, 1 << 12),
+        "core-forest sweep", 64);
+    ExpectWithinLedger(RandomInstance<NaturalSemiring>(400 + seed,
+                                                       LineTopology(4), 2000,
+                                                       1 << 12),
+                       "trivial sweep", 64);
   }
 }
 

@@ -389,17 +389,17 @@ TEST(ProtocolCosts, PinnedOnFixedInstances) {
        {{55, 9800},
         {31, 5290},
         {80.457142857142827, 13640, 16, 2},
-        {110.48571428571424, 11488, 19, 2}}},
+        {63.59999999999998, 7690, 17, 2}}},
       {"path-4 on grid-3x3", PathGraph(4), GridTopology(3, 3), 8, {0},
        {{29, 11620},
         {65, 14926},
-        {84.457142857142827, 16228, 16, 2},
-        {150.74285714285705, 12026, 20, 2}}},
+        {65.799999999999983, 16228, 16, 2},
+        {169.74285714285702, 20616, 42, 2}}},
       {"triangle on ring-6", CycleGraph(3), RingTopology(6), 0, {},
        {{16, 4690},
         {16, 4690},
-        {39.228571428571428, 4022, 8, 2},
-        {39.228571428571428, 4022, 8, 2}}},
+        {60.885714285714258, 6610, 8, 2},
+        {60.885714285714258, 6610, 8, 2}}},
   };
   AsyncProtocolOptions async;
   async.stream.page_rows = 4;

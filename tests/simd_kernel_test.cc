@@ -176,6 +176,57 @@ TEST(SimdKernelTest, NextMatchCappedBudgetSameMatches) {
   }
 }
 
+/// A side shorter than one vector with its match far ahead in the other:
+/// the closing scalar walk must honour the block budget (a few dozen steps)
+/// instead of walking the long side to the match, and following the seeks
+/// must still recover the scalar body's match positions.
+TEST(SimdKernelTest, NextMatchShortSideRespectsBudget) {
+  constexpr size_t kCap = 8;
+  constexpr size_t kLong = 100000;
+  for (size_t short_len = 1; short_len <= 3; ++short_len) {
+    std::vector<Value> a, b(kLong);
+    std::vector<uint32_t> a32, b32(kLong);
+    for (size_t t = 0; t < kLong; ++t) b[t] = b32[t] = 2 * t;
+    for (size_t t = 0; t < short_len; ++t)
+      a.push_back(2 * (kLong - short_len + t));  // matches b's last rows
+    a32.assign(a.begin(), a.end());
+    SCOPED_TRACE(short_len);
+    const simd::Frontier f64 = simd::NextMatchU64(
+        kVec, a.data(), 0, a.size(), b.data(), 0, b.size(), kCap, nullptr);
+    const simd::Frontier f32 = simd::NextMatchU32(
+        kVec, a32.data(), 0, a32.size(), b32.data(), 0, b32.size(), kCap,
+        nullptr);
+    for (const simd::Frontier& f : {f64, f32}) {
+      EXPECT_EQ(f.kind, simd::Frontier::kSeekB);
+      EXPECT_LE(f.i + f.j, kCap * 8);
+    }
+    const auto step_vec = [](const Value* x, size_t i, size_t xn,
+                             const Value* y, size_t j, size_t yn, size_t mb) {
+      return simd::NextMatchU64(kVec, x, i, xn, y, j, yn, mb, nullptr);
+    };
+    const auto step_scalar = [](const Value* x, size_t i, size_t xn,
+                                const Value* y, size_t j, size_t yn,
+                                size_t mb) {
+      return simd::ScalarNextMatchU64(x, i, xn, y, j, yn, mb);
+    };
+    const auto mv = DriveToFixpoint(a, b, kCap, step_vec);
+    EXPECT_EQ(mv, DriveToFixpoint(a, b, kCap, step_scalar));
+    EXPECT_EQ(mv.size(), short_len);
+    // The u32 body at positions: the match after a seek is b's last rows.
+    const size_t j = simd::ScalarLowerBoundU32(b32.data(), f32.j, kLong,
+                                               a32[f32.i], false);
+    const simd::Frontier m32 = simd::NextMatchU32(
+        kVec, a32.data(), f32.i, a32.size(), b32.data(), j, kLong, kCap,
+        nullptr);
+    const simd::Frontier s32 = simd::ScalarNextMatchU32(
+        a32.data(), f32.i, a32.size(), b32.data(), j, kLong, kCap);
+    EXPECT_EQ(m32.kind, simd::Frontier::kMatch);
+    EXPECT_EQ(m32.kind, s32.kind);
+    EXPECT_EQ(m32.i, s32.i);
+    EXPECT_EQ(m32.j, s32.j);
+  }
+}
+
 TEST(SimdKernelTest, DecodeWindowMatchesDecodeInto) {
   Rng rng(2029);
   for (int trial = 0; trial < 800; ++trial) {

@@ -1,8 +1,10 @@
 // Event-driven network + streaming relation transport tests: channel
 // timing/FIFO/accounting of AsyncNetwork, and the paging edge cases of
 // StreamNet — empty relations, sub-page payloads, exact page multiples,
-// key runs spanning a page boundary, and the per-node page-budget
-// backpressure rule (peak in-flight pages never exceeds the budget).
+// key runs spanning a page boundary, the per-node page-budget
+// backpressure rule (peak in-flight pages never exceeds the budget), and
+// the tree streams: multicast down and convergecast up a rooted tree, each
+// page crossing every tree edge once.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +13,7 @@
 #include "bit_identity.h"
 #include "graphalg/topologies.h"
 #include "network/async.h"
+#include "network/primitives.h"
 #include "network/stream.h"
 #include "util/rng.h"
 
@@ -262,6 +265,168 @@ TEST(Stream, ConcurrentStreamsShareTheSourceBudget) {
   EXPECT_LE(streams.max_in_flight_pages(), 3);
   EXPECT_EQ(streams.pages_shipped(),
             static_cast<int64_t>((a.size() + 15) / 16 + (b.size() + 15) / 16));
+}
+
+// ------------------------------------------------------------ tree streams
+
+/// Every edge of `g`, as a tree rooted at `root` (g must be a tree).
+RootedTree WholeTree(const Graph& g, NodeId root) {
+  std::vector<int> edges;
+  for (int e = 0; e < g.num_edges(); ++e) edges.push_back(e);
+  return OrientTree(g, edges, root);
+}
+
+struct TreeRun {
+  std::vector<NRel> rebuilt;  // per node; filled at terminals
+  int terminals_done = 0;
+  bool cast_done = false;
+  int64_t pages = 0;
+  int64_t peak = 0;
+  int64_t bits = 0;
+  std::vector<SimTime> busy_down, busy_up;  // per edge, bits / bandwidth
+};
+
+constexpr double kTreeBandwidth = 64.0;
+constexpr int kTreeBitsPerAttr = 8;
+
+/// Multicasts `rel` from `root` to every other node of the tree `g` and,
+/// when `cast` is set, runs a convergecast of |rel| values paced by it.
+TreeRun RunTree(const NRel& rel, Graph g, NodeId root, bool cast,
+                StreamOptions opts) {
+  AsyncNetwork net(g, LinkParams{1.0, kTreeBandwidth});
+  StreamNet<NaturalSemiring> streams(&net, opts);
+  const RootedTree tree = WholeTree(g, root);
+  std::vector<NodeId> terminals;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (v != root) terminals.push_back(v);
+  TreeRun out;
+  out.rebuilt.resize(g.num_nodes());
+  const uint64_t id = streams.Multicast(
+      tree, terminals, rel, 0, rel.size(), kTreeBitsPerAttr,
+      [&](NodeId at, NRel r) {
+        out.rebuilt[at] = std::move(r);
+        ++out.terminals_done;
+      });
+  if (cast) streams.Convergecast(id, [&] { out.cast_done = true; });
+  net.Run();
+  out.pages = streams.pages_shipped();
+  out.peak = streams.max_in_flight_pages();
+  out.bits = net.total_bits();
+  for (int e = 0; e < g.num_edges(); ++e) {
+    const bool root_side_first =
+        tree.parent[g.edge(e).second] == g.edge(e).first;
+    out.busy_down.push_back(net.BusyTime(e, root_side_first));
+    out.busy_up.push_back(net.BusyTime(e, !root_side_first));
+  }
+  return out;
+}
+
+/// Wire bits of one relation page stream crossing one edge: every page's
+/// header plus the plain payload (rows x (arity x bits/attr + value bits)).
+int64_t PagesBits(const NRel& rel, int64_t pages) {
+  return pages * kPageHeaderBits + rel.EncodedBits(kTreeBitsPerAttr);
+}
+
+void ExpectMulticast(const NRel& rel, const Graph& g, NodeId root,
+                     int64_t budget) {
+  const StreamOptions opts{.page_rows = 16, .node_page_budget = budget};
+  const TreeRun run = RunTree(rel, g, root, /*cast=*/false, opts);
+  const int64_t pages = (static_cast<int64_t>(rel.size()) + 15) / 16;
+  EXPECT_EQ(run.terminals_done, g.num_nodes() - 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v == root) continue;
+    EXPECT_TRUE(BytesEqual(rel, run.rebuilt[v])) << v;
+  }
+  // Each page is cut once and crosses every tree edge exactly once; one
+  // merged credit per page climbs each edge.
+  EXPECT_EQ(run.pages, pages);
+  const int64_t edges = g.num_edges();
+  for (int e = 0; e < edges; ++e) {
+    EXPECT_DOUBLE_EQ(run.busy_down[e], PagesBits(rel, pages) / kTreeBandwidth);
+    EXPECT_DOUBLE_EQ(run.busy_up[e], pages * kCreditBits / kTreeBandwidth);
+  }
+  EXPECT_EQ(run.bits, edges * (PagesBits(rel, pages) + pages * kCreditBits));
+  EXPECT_LE(run.peak, budget);
+  EXPECT_GE(run.peak, 1);
+}
+
+void ExpectConvergecast(const NRel& rel, const Graph& g, NodeId root,
+                        int64_t budget) {
+  const StreamOptions opts{.page_rows = 16, .node_page_budget = budget};
+  const TreeRun run = RunTree(rel, g, root, /*cast=*/true, opts);
+  const int64_t pages = (static_cast<int64_t>(rel.size()) + 15) / 16;
+  EXPECT_TRUE(run.cast_done);
+  EXPECT_EQ(run.terminals_done, g.num_nodes() - 1);
+  // Up each edge: every value page once (header + 64 bits per value) and
+  // the multicast's credits; down each edge: every relation page once and
+  // one credit per value page.
+  const int64_t up_bits =
+      pages * kPageHeaderBits +
+      static_cast<int64_t>(rel.size()) * NaturalSemiring::kValueBits;
+  const int64_t edges = g.num_edges();
+  for (int e = 0; e < edges; ++e) {
+    EXPECT_DOUBLE_EQ(run.busy_down[e],
+                     (PagesBits(rel, pages) + pages * kCreditBits) /
+                         kTreeBandwidth);
+    EXPECT_DOUBLE_EQ(run.busy_up[e],
+                     (up_bits + pages * kCreditBits) / kTreeBandwidth);
+  }
+  EXPECT_EQ(run.bits, edges * (PagesBits(rel, pages) + up_bits +
+                               2 * pages * kCreditBits));
+  // Relation pages are charged once at the root, value pages once per hop.
+  EXPECT_EQ(run.pages, pages + edges * pages);
+  EXPECT_LE(run.peak, budget);
+  EXPECT_GE(run.peak, 1);
+}
+
+NRel PlainRel(size_t n, uint64_t seed) {
+  NRel r = RandomRel({0, 1}, n, 1 << 20, seed);
+  r.DecodeAll();  // the formulas price the plain page layout
+  return r;
+}
+
+TEST(TreeStream, MulticastOnALineCrossesEachEdgeOncePerPage) {
+  for (int64_t budget : {1, 2, 8})
+    ExpectMulticast(PlainRel(200, 41), LineTopology(4), 0, budget);
+}
+
+TEST(TreeStream, MulticastOnASmallTreeCrossesEachEdgeOncePerPage) {
+  for (int64_t budget : {1, 2, 8})
+    ExpectMulticast(PlainRel(200, 43), BalancedTreeTopology(2, 2), 0, budget);
+}
+
+TEST(TreeStream, ConvergecastOnALineCrossesEachEdgeOncePerPage) {
+  for (int64_t budget : {1, 2, 8})
+    ExpectConvergecast(PlainRel(200, 47), LineTopology(4), 0, budget);
+}
+
+TEST(TreeStream, ConvergecastOnASmallTreeCrossesEachEdgeOncePerPage) {
+  for (int64_t budget : {1, 2, 8}) {
+    ExpectConvergecast(PlainRel(200, 53), BalancedTreeTopology(2, 2), 0,
+                       budget);
+    // Rooted at a leaf: the root's one child relays everything.
+    ExpectConvergecast(PlainRel(200, 53), BalancedTreeTopology(2, 2), 5,
+                       budget);
+  }
+}
+
+TEST(TreeStream, SendAlongFollowsTheGivenRoute) {
+  // Ring 0-1-2-3-4-5-0: the long way round from 0 to 2 crosses four edges
+  // where the shortest path crosses two.
+  NRel r = PlainRel(100, 59);
+  AsyncNetwork net(RingTopology(6), LinkParams{1.0, 64.0});
+  StreamNet<NaturalSemiring> streams(
+      &net, StreamOptions{.page_rows = 16, .node_page_budget = 2});
+  NRel got;
+  streams.SendAlong({0, 5, 4, 3, 2}, r, 8, [&](NRel x) { got = std::move(x); });
+  net.Run();
+  EXPECT_TRUE(BytesEqual(r, got));
+  const int64_t pages = (static_cast<int64_t>(r.size()) + 15) / 16;
+  EXPECT_EQ(net.total_bits(),
+            4 * (pages * kPageHeaderBits + r.EncodedBits(8) +
+                 pages * kCreditBits));
+  EXPECT_EQ(net.BusyTime(net.graph().EdgeBetween(0, 1), true), 0.0);
+  EXPECT_EQ(net.BusyTime(net.graph().EdgeBetween(0, 1), false), 0.0);
 }
 
 }  // namespace
