@@ -36,6 +36,9 @@
 //    Eliminate shape — 4 columns of 11-bit values grouped by (A, D). Both
 //    run at their fixed sizes under --quick too, so the CI floors always
 //    have rows to gate.
+//  * node_step: one GHD node step of perfbench's path query (60k rows,
+//    a 12k-row child message) as one factor Eliminate, against the Join +
+//    Eliminate composition it replaced; fixed size, floored in CI.
 //
 // Flags: --quick (CI sizes), --parallelism N / -j N (default: every core),
 // --out PATH (JSON destination). Each bench runs the kernel at parallelism 1
@@ -433,6 +436,30 @@ void BenchRegroup(std::vector<Row>* rows, size_t n, int reps) {
     BenchRegroupOn<PlainAccess>(rows, n, r, reps);
 }
 
+/// node_step: one GHD node step of the path query — R(2, 3) ⊗ M(3) with 3
+/// ⊕-eliminated, M a child's message — as one factor Eliminate, against
+/// the Join + Eliminate composition it replaced (the reference, CHECKed
+/// byte-identical).
+void BenchNodeStep(std::vector<Row>* rows, size_t n, int reps) {
+  const uint64_t dom = n / 5;
+  const NRel r = RandomRel({2, 3}, n, dom, 107 + n);
+  const NRel m = Eliminate(RandomRel({3, 4}, n, dom, 109 + n), {4},
+                           {VarOp::kSemiringSum});
+  const std::vector<const NRel*> factors{&m};
+  auto [k1, kp, out] =
+      TimeKernel(reps, "node_step", [&](ExecContext* cx) {
+        return Eliminate(r, factors, {3}, {VarOp::kSemiringSum}, cx);
+      });
+  EncodingContext cx(DefaultEncodingMode());
+  cx.parallelism = 1;
+  NRel ref;
+  const double h = TimeMs(reps, [&] {
+    ref = Eliminate(Join(r, m, &cx), {3}, {VarOp::kSemiringSum}, &cx);
+  });
+  bench::CheckIdentical(out, ref, "node_step vs Join + Eliminate");
+  Report(rows, "node_step", n, out.size(), k1, kp, h, r.ResidentKeyBytes());
+}
+
 /// probe: gather full rows at random row ids — the row-major-friendly
 /// pattern, reported honestly (columnar pays one line per column here).
 void BenchProbe(std::vector<Row>* rows, size_t n, int reps) {
@@ -527,6 +554,7 @@ int main(int argc, char** argv) {
   topofaq::BenchCanonicalize(&rows, 100000, 3);
   topofaq::BenchCanonicalize(&rows, 1000000, 3);
   topofaq::BenchRegroup(&rows, 1000000, 3);
+  topofaq::BenchNodeStep(&rows, 60000, 5);
   topofaq::WriteJson(rows, out_path);
   return 0;
 }

@@ -6,13 +6,15 @@
 // free variable is never aggregated, so a node keeps the free columns its
 // operands carry and hands them up to the root, whether or not one bag holds
 // all of F. The step picks its join plan from the node and its operands: an
-// edge bag whose operands all lie inside it folds them with the pairwise
-// Join (no intermediate outgrows the edge); anything else — the synthetic
-// core bag of Construction 2.8, or a bag that receives carried free columns
-// — runs JoinAndEliminate, which sends three or more operands through the
-// worst-case-optimal MultiwayJoin (relation/multiway.h). The peak
-// materialization there is the join's output, not a pairwise intermediate —
-// the central twin of the protocols' core finish.
+// edge bag whose operands all lie inside it is one factor Eliminate — the
+// operand over the whole bag walked once, every child message probed per
+// row, the products folded straight into the message's groups, no Join;
+// anything else — the synthetic core bag of Construction 2.8, or a bag that
+// receives carried free columns — runs JoinAndEliminate, which sends three
+// or more operands through the worst-case-optimal MultiwayJoin
+// (relation/multiway.h). The peak materialization there is the join's
+// output, not a pairwise intermediate — the central twin of the protocols'
+// core finish.
 //
 // Every solver threads one ExecContext through the sorted-relation kernel
 // (relation/ops.h): operators reuse the context's scratch buffers and
@@ -62,18 +64,20 @@ inline std::vector<VarId> VarsOutside(const Schema& sc,
   return out;
 }
 
-/// Eliminates `vars` (non-empty) from r with each variable's own aggregate,
+/// Eliminates `vars` from r ⊗ factors with each variable's own aggregate,
 /// batched: Eliminate() orders them descending (the Eq. (4) innermost-first
 /// order restricted to this bag) and groups once per run of equal
-/// aggregates. `r` is only read; callers with nothing to eliminate skip the
-/// call and keep r as it is.
+/// aggregates. `r` and the factors are only read; `lead` factors precede r
+/// in the product (see Eliminate).
 template <CommutativeSemiring S>
 Relation<S> EliminateAll(const Relation<S>& r, std::vector<VarId> vars,
-                         const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
+                         const FaqQuery<S>& q, ExecContext* ctx = nullptr,
+                         const std::vector<const Relation<S>*>& factors = {},
+                         size_t lead = 0) {
   std::vector<VarOp> ops;
   ops.reserve(vars.size());
   for (VarId v : vars) ops.push_back(q.OpFor(v));
-  return Eliminate(std::move(r), std::move(vars), std::move(ops), ctx);
+  return Eliminate(r, factors, std::move(vars), std::move(ops), ctx, lead);
 }
 
 /// Joins a bag of relations and eliminates every variable outside `keep`,
@@ -158,9 +162,13 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
 ///
 /// The join plan comes from the decomposition and the operands, never from
 /// an option:
-///  * an edge bag (edge_id >= 0) whose operands all lie inside χ(v) folds
-///    them with the pairwise Join: no intermediate of the chain can outgrow
-///    the edge's relation;
+///  * an edge bag (edge_id >= 0) whose operands all lie inside χ(v) = the
+///    edge is the InsideOut step of Abo Khamis–Ngo–Rudra: one factor
+///    Eliminate walks the operand over all of χ(v) — the node's relation,
+///    or its delta in ring mode, wherever it sits in `parts` — probes every
+///    other operand per row, and folds the products into keep(v)'s groups.
+///    Nothing the size of the edge is materialized beyond the message, and
+///    the bytes equal the pairwise Join chain's followed by Eliminate;
 ///  * the synthetic core bag of Construction 2.8 (edge_id < 0), or a bag an
 ///    operand reaches outside of (carried free columns), runs
 ///    JoinAndEliminate, so three or more operands go through MultiwayJoin
@@ -177,26 +185,29 @@ Relation<S> SolveNode(const FaqQuery<S>& q, const Ghd& ghd, int v,
     const std::vector<VarId>& up = ghd.node(node.parent).chi;
     keep.insert(keep.end(), up.begin(), up.end());
   }
-  bool pairwise = node.edge_id >= 0;
+  bool inside = node.edge_id >= 0;
   for (const Relation<S>* p : parts)
     for (VarId x : p->schema().vars())
-      pairwise = pairwise &&
-                 std::binary_search(node.chi.begin(), node.chi.end(), x);
+      inside = inside &&
+               std::binary_search(node.chi.begin(), node.chi.end(), x);
+  // The outer relation: the first operand over all of χ(v).
+  size_t lead = parts.size();
+  if (inside)
+    for (size_t i = 0; i < parts.size() && lead == parts.size(); ++i)
+      if (parts[i]->arity() == node.chi.size()) lead = i;
   Relation<S> out;
-  if (pairwise) {
-    TOPOFAQ_CHECK_MSG(!parts.empty(), "SolveNode: edge bag without operands");
-    // A lone operand is only read: Eliminate runs straight off the borrowed
-    // relation, which is copied only when nothing is eliminated.
-    if (parts.size() > 1) {
-      out = Join(*parts[0], *parts[1], ctx);
-      for (size_t i = 2; i < parts.size(); ++i) out = Join(out, *parts[i], ctx);
-    }
-    const Relation<S>& in = parts.size() == 1 ? *parts[0] : out;
-    std::vector<VarId> bound = VarsOutside(in.schema(), keep);
-    if (!bound.empty())
-      out = EliminateAll(in, std::move(bound), q, ctx);
-    else if (parts.size() == 1)
-      out = in;
+  if (lead < parts.size()) {
+    std::vector<const Relation<S>*> factors;
+    factors.reserve(parts.size() - 1);
+    for (size_t i = 0; i < parts.size(); ++i)
+      if (i != lead) factors.push_back(parts[i]);
+    // A lone operand with nothing to eliminate is the message as it is.
+    const Relation<S>& outer = *parts[lead];
+    std::vector<VarId> bound = VarsOutside(outer.schema(), keep);
+    if (factors.empty() && bound.empty())
+      out = outer;
+    else
+      out = EliminateAll(outer, std::move(bound), q, ctx, factors, lead);
   } else {
     std::vector<Relation<S>> owned;
     owned.reserve(parts.size());

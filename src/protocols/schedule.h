@@ -238,9 +238,10 @@ class Schedule {
     clock_->Exchange(std::move(step));
   }
 
-  /// R'_center = R_center ⊗ Π_k message_k in kid order (message schemas are
-  /// subsets of the center schema, so the center schema is preserved), then
-  /// release the stars waiting on this one.
+  /// R'_center = R_center ⊗ Π_k message_k in kid order — one factor
+  /// Eliminate with nothing to eliminate (message schemas are subsets of the
+  /// center schema, so the center schema is preserved) — then release the
+  /// stars waiting on this one.
   void Fold(int i, std::vector<Relation<S>> msgs) {
     const int center = stars_[i].center;
     size_t rows = state_[center].size();
@@ -248,8 +249,10 @@ class Schedule {
     clock_->Compute(
         "star_join", owner_[center], rows,
         [this, i, center, msgs = std::move(msgs)] {
-          for (const Relation<S>& m : msgs)
-            state_[center] = Join(state_[center], m, ctx_);
+          std::vector<const Relation<S>*> factors;
+          for (const Relation<S>& m : msgs) factors.push_back(&m);
+          if (!factors.empty())
+            state_[center] = Eliminate(state_[center], factors, {}, {}, ctx_);
           ++stars_done_;
           for (int dep : stars_[i].dependents)
             if (--stars_[dep].deps == 0) StartStar(dep);

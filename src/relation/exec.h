@@ -200,6 +200,9 @@ class ExecContext {
   std::vector<ColView> vcols_d;
   std::vector<ColView> vcols_e;
   std::vector<Value> row;
+  /// Decoded copies of the encoded columns a factor Eliminate reads (one
+  /// buffer per column); their capacity is kept across calls.
+  std::vector<std::vector<Value>> raw_cols;
   /// Per-shard open-addressing run directories (key hash → key-run start +
   /// 1): shard s covers one key-aligned range of the probed side and is
   /// built by one worker; a one-worker join uses shard 0 alone.

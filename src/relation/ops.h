@@ -285,8 +285,14 @@ std::pair<size_t, size_t> ProbeRunDirectory(const std::vector<uint64_t>& table,
 /// key-aligned.
 struct RunDirectory {
   const std::vector<std::vector<uint64_t>>* shards = nullptr;
+  /// Index of shard 0's table in `*shards` (a factor-Eliminate keeps one
+  /// directory per probed factor side by side in one shard vector).
+  size_t first = 0;
   std::vector<size_t> cuts;
   size_t num_shards() const { return cuts.size() - 1; }
+  const std::vector<uint64_t>& table(size_t s) const {
+    return (*shards)[first + s];
+  }
 };
 
 template <typename A>
@@ -307,8 +313,7 @@ std::pair<size_t, size_t> DirProbe(const RunDirectory& dir,
     else
       hi = mid;
   }
-  return ProbeRunDirectory<A>((*dir.shards)[lo], rk, nk, rn, rp, lk, lrow,
-                              cmps);
+  return ProbeRunDirectory<A>(dir.table(lo), rk, nk, rn, rp, lk, lrow, cmps);
 }
 
 /// Fills `perm` with a row ordering of `r` sorted by key columns `pos`,
@@ -410,7 +415,7 @@ void JoinEmitRange(const Relation<S>& left, const Relation<S>& right,
     // each probe with a shard binary search instead).
     if (!lmono && dir.num_shards() == 1 && xi + 1 < xe) {
       const size_t nx = lpm ? lpm[xi + 1] : xi + 1;
-      const std::vector<uint64_t>& table = (*dir.shards)[0];
+      const std::vector<uint64_t>& table = dir.table(0);
       __builtin_prefetch(table.data() +
                          (HashKeyAt<A>(lk, nk, nx) & (table.size() - 1)));
     }
@@ -514,17 +519,18 @@ size_t CountGroups(const typename A::Col* kc, size_t nkc, const size_t* perm,
 /// (kept-key order via `perm`) into `b`. gb and ge must be group boundaries
 /// — key-aligned morsel cuts guarantee exactly that — so every group folds
 /// whole, in traversal order, identical to the serial pass. The group scan
-/// touches only the kept columns `kc` and the annotation column; on an
-/// encoded key column it detects runs over the packed codes and decodes
-/// exactly once per group, at emission.
+/// touches only the kept columns `kc` and the annotation column `annots`
+/// (parallel to the rows `kc` indexes); on an encoded key column it detects
+/// runs over the packed codes and decodes exactly once per group, at
+/// emission.
 template <typename A, CommutativeSemiring S>
-void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
-                        size_t nkc, const size_t* perm, VarOp op, size_t gb,
-                        size_t ge, RelationBuilder<S>* b,
-                        std::vector<Value>* rowbuf, int64_t* cmps) {
+void EliminateEmitRange(const typename S::Value* annots,
+                        const typename A::Col* kc, size_t nkc,
+                        const size_t* perm, VarOp op, size_t gb, size_t ge,
+                        RelationBuilder<S>* b, std::vector<Value>* rowbuf,
+                        int64_t* cmps) {
   std::vector<Value>& row = *rowbuf;
   row.resize(nkc);
-  const auto annots = r.annots().data();
   if (perm == nullptr && nkc == 1) {
     // The flagship columnar scan: group boundaries read one contiguous key
     // column and the fold one contiguous annotation column — no permutation
@@ -650,26 +656,29 @@ void EliminateEmitRange(const Relation<S>& r, const typename A::Col* kc,
 }
 
 /// Builds the run directory over the key-ordered right traversal into
-/// `cx.table_shards`: the traversal is cut into one key-aligned shard per
-/// worker, and worker w claims shards through the pool and builds each into
-/// `cx.table_shards[s]`. One worker builds its single shard on the calling
-/// thread.
+/// `cx.table_shards`, from index `first` on: the traversal is cut into one
+/// key-aligned shard per worker, and worker w claims shards through the pool
+/// and builds each into `cx.table_shards[first + s]`. One worker builds its
+/// single shard on the calling thread.
 template <typename A>
 RunDirectory BuildShardedRunDirectory(ExecContext& cx, int workers,
                                       const typename A::Col* rk, size_t nk,
-                                      size_t rn, const size_t* rpm) {
+                                      size_t rn, const size_t* rpm,
+                                      size_t first = 0) {
   RunDirectory dir;
   dir.shards = &cx.table_shards;
+  dir.first = first;
   dir.cuts = KeyAlignedCuts(rn, static_cast<size_t>(workers), [&](size_t t) {
     const size_t a = rpm ? rpm[t] : t;
     const size_t p = rpm ? rpm[t - 1] : t - 1;
     return !KeysEqualAt<A>(rk, a, p, nk);
   });
   const size_t n_shards = dir.num_shards();
-  if (cx.table_shards.size() < n_shards) cx.table_shards.resize(n_shards);
+  if (cx.table_shards.size() < first + n_shards)
+    cx.table_shards.resize(first + n_shards);
   auto build = [&](int, size_t s) {
     BuildRunDirectoryRange<A>(rk, nk, dir.cuts[s], dir.cuts[s + 1], rpm,
-                              &cx.table_shards[s]);
+                              &cx.table_shards[first + s]);
   };
   if (n_shards == 1)
     build(0, 0);
@@ -791,39 +800,17 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
   return out;
 }
 
-/// One Eliminate batch (all variables sharing one aggregate), one
-/// instantiation per access policy. `vb`/`ve` delimit the batch's variables.
+/// Folds the kept-key groups of traversal [0, n) (kept-key order via
+/// `perm`, nullptr = identity) into the batch's output — the one group-by
+/// emission of every Eliminate batch. `annots` is parallel to the rows the
+/// kept columns `kc` index.
 template <typename A, CommutativeSemiring S>
-Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
-                           const VarId* ve, VarOp op, ExecContext& cx,
-                           OpStats& st) {
-  // Surviving columns of this batch, in schema order.
-  std::vector<VarId> kept_vars;
-  std::vector<int>& kept_pos = cx.pos_a;
-  kept_pos.clear();
-  for (size_t p = 0; p < in.arity(); ++p) {
-    const VarId v = in.schema().var(p);
-    if (std::find(vb, ve, v) == ve) {
-      kept_vars.push_back(v);
-      kept_pos.push_back(static_cast<int>(p));
-    }
-  }
-
-  const size_t n = in.size();
-  const size_t* perm = nullptr;
-  if (IsCanonicalKeyPrefix(in, kept_pos)) {
-    ++st.sort_skips;
-  } else {
-    KeyOrderPerm<A>(in, kept_pos, cx, &cx.perm_a, &st);
-    perm = cx.perm_a.data();
-  }
-  GatherCols<A>(in, kept_pos, &ScratchCols<A>::a(cx));
-  const typename A::Col* kc = ScratchCols<A>::a(cx).data();
-  const size_t nkc = kept_pos.size();
-  Schema out_schema{std::move(kept_vars)};
-
+Relation<S> FoldGroups(const typename S::Value* annots,
+                       const typename A::Col* kc, size_t nkc,
+                       const size_t* perm, size_t n, VarOp op, Schema schema,
+                       ExecContext& cx) {
   return MorselRun<S>(
-      cx, PlannedWorkers(cx, n), std::move(out_schema), n,
+      cx, PlannedWorkers(cx, n), std::move(schema), n,
       [&](size_t t) {
         const size_t a = perm ? perm[t] : t;
         const size_t p = perm ? perm[t - 1] : t - 1;
@@ -834,9 +821,509 @@ Relation<S> EliminateBatch(const Relation<S>& in, const VarId* vb,
         // Reserve from the group count discovered by the scan pass: the
         // emission loop then never regrows its output columns.
         b->Reserve(CountGroups<A>(kc, nkc, perm, gb, ge));
-        EliminateEmitRange<A>(in, kc, nkc, perm, op, gb, ge, b, &wc.row,
+        EliminateEmitRange<A>(annots, kc, nkc, perm, op, gb, ge, b, &wc.row,
                               &wc.eliminate.comparisons);
       });
+}
+
+/// How the outer relation's walk finds a factor's run at a row's key.
+enum class FactorProbeKind {
+  kMerge,   ///< the factor's columns lead the walk order: a merge cursor
+  kDense,   ///< one key column over a narrow range: direct addressing
+  kHashed,  ///< anything else: the hashed run directory
+};
+
+/// One ⊗-factor of a factor-Eliminate, resolved against the outer
+/// relation: the columns of the factor's variables on both sides (factor
+/// schema order), the factor's key-ordered traversal, and how the outer
+/// relation's walk probes it.
+/// The walk reads raw values (see EliminateBatch).
+template <CommutativeSemiring S>
+struct FactorProbe {
+  std::vector<const Value*> dk;  ///< outer columns of the factor's vars
+  std::vector<const Value*> fk;  ///< the factor's own columns
+  const typename S::Value* annots = nullptr;
+  size_t rows = 0;
+  const size_t* fpm = nullptr;  ///< traversal; nullptr = identity
+  std::vector<size_t> perm;     ///< backs `fpm` for a non-canonical factor
+  FactorProbeKind kind = FactorProbeKind::kHashed;
+  /// kDense: slot v - dense_lo holds 1 + the traversal position where key
+  /// v's run starts, 0 when v is absent.
+  Value dense_lo = 0;
+  std::vector<uint32_t> dense;
+  RunDirectory dir;  ///< kHashed
+
+  size_t Pos(size_t t) const { return fpm ? fpm[t] : t; }
+};
+
+/// Direct addressing pays when the one key column spans at most this many
+/// slots per factor row (plus a small floor): the slot array then stays
+/// within a few times the factor's own key column.
+inline constexpr uint64_t kDenseSlotsPerRow = 4;
+inline constexpr uint64_t kDenseMinSlots = 4096;
+
+/// Fills `f.dense` when `f` has one key column whose value range is narrow
+/// enough; returns false (and leaves `f` as it was) otherwise.
+template <CommutativeSemiring S>
+bool BuildDenseRunIndex(FactorProbe<S>* f) {
+  if (f->fk.size() != 1 || f->rows == 0 || f->rows >= UINT32_MAX) return false;
+  const Value* c = f->fk[0];
+  const Value lo = c[f->Pos(0)];
+  const Value hi = c[f->Pos(f->rows - 1)];
+  const uint64_t span = hi - lo;
+  if (span >= std::max<uint64_t>(kDenseMinSlots,
+                                  kDenseSlotsPerRow * f->rows))
+    return false;
+  f->dense_lo = lo;
+  f->dense.assign(span + 1, 0);
+  Value prev = 0;
+  for (size_t t = 0; t < f->rows; ++t) {
+    const Value v = c[f->Pos(t)];
+    if (t == 0 || v != prev) f->dense[v - lo] = static_cast<uint32_t>(t + 1);
+    prev = v;
+  }
+  return true;
+}
+
+/// One factor's probe state inside one morsel's walk: the merge cursor, the
+/// outer row whose key was probed last, and the factor run it found.
+struct FactorCursor {
+  size_t j = 0;
+  size_t last = 0;
+  size_t lo = 0;
+  size_t hi = 0;
+  bool have = false;
+};
+
+/// The walk of a factor-Eliminate. The outer relation is walked in `walk`
+/// order (canonical under the output's column order; nullptr = identity),
+/// one run of duplicate rows at a time; every factor is probed at the run's
+/// key, and the annotations multiply in operand order — the `lead` factors,
+/// then the outer relation, then the rest. That reproduces the pairwise
+/// Join chain P₀ ⋈ P₁ ⋈ … byte for byte: stage 1 ⊕-merges the products of
+/// P₀'s run with P₁'s run, P₀-major (the chain's first Join merges equal
+/// output rows in emission order), every later stage ⊕-merges acc ⊗ p over
+/// its operand's run, and a row that misses a probe, or whose product is
+/// zero after any stage (the chain's builders drop it there), is dropped.
+/// Runs of canonical operands are one row each, so `single` walks take the
+/// plain product.
+template <CommutativeSemiring S>
+struct FactorWalk {
+  using V = typename S::Value;
+  using P = PlainAccess;
+  const V* annots = nullptr;           ///< the outer relation's annotations
+  const size_t* walk = nullptr;
+  std::vector<const Value*> all;       ///< every outer column (dups only)
+  size_t n = 0;                        ///< walk length
+  bool dups = false;    ///< non-canonical outer relation: merge duplicate rows
+  bool single = false;  ///< every run is one row
+  size_t lead = 0;
+  std::vector<FactorProbe<S>> fac;
+
+  size_t Row(size_t t) const { return walk ? walk[t] : t; }
+
+  /// True when walk position t starts a new run of duplicate outer rows.
+  bool StartsRun(size_t t) const {
+    return !dups || !KeysEqualAt<P>(all.data(), Row(t), Row(t - 1), all.size());
+  }
+
+  /// Finds factor i's run at outer row x into `c`.
+  void Probe(size_t i, size_t x, FactorCursor* c, int64_t* cmps) const {
+    const FactorProbe<S>& f = fac[i];
+    const size_t nk = f.fk.size();
+    const Value* const* fk = f.fk.data();
+    const Value* const* dk = f.dk.data();
+    switch (f.kind) {
+      case FactorProbeKind::kMerge:
+        while (c->j < f.rows && CompareKeysAt<P>(fk, f.Pos(c->j), dk, x, nk) < 0) {
+          ++*cmps;
+          ++c->j;
+        }
+        c->lo = c->hi = c->j;
+        while (c->hi < f.rows &&
+               CompareKeysAt<P>(fk, f.Pos(c->hi), dk, x, nk) == 0)
+          ++c->hi;
+        *cmps += static_cast<int64_t>(c->hi - c->lo) + 1;
+        c->j = c->hi;
+        return;
+      case FactorProbeKind::kDense: {
+        const uint64_t slot = dk[0][x] - f.dense_lo;
+        const uint32_t s = slot < f.dense.size() ? f.dense[slot] : 0;
+        ++*cmps;
+        c->lo = c->hi = s == 0 ? 0 : s - 1;
+        if (s == 0) return;
+        ++c->hi;
+        // A canonical factor's keys are distinct; a duplicate run goes on.
+        if (f.fpm != nullptr)
+          while (c->hi < f.rows && fk[0][f.Pos(c->hi)] == dk[0][x]) ++c->hi;
+        return;
+      }
+      case FactorProbeKind::kHashed:
+        std::tie(c->lo, c->hi) =
+            DirProbe<P>(f.dir, fk, nk, f.rows, f.fpm, dk, x, cmps);
+        return;
+    }
+  }
+
+  /// Calls fn(row, product) for the head row of every surviving run in walk
+  /// positions [xb, xe), in walk order; xb and xe must start runs.
+  template <typename Fn>
+  void Run(size_t xb, size_t xe, int64_t* cmps, Fn&& fn) const {
+    if (xb >= xe) return;
+    const size_t k = fac.size();
+    std::vector<FactorCursor> cur(k);
+    // A morsel entering mid-walk finds each merge cursor's start by one
+    // binary search instead of replaying the merge from position 0.
+    if (xb > 0)
+      for (size_t i = 0; i < k; ++i)
+        if (fac[i].kind == FactorProbeKind::kMerge)
+          cur[i].j = RightLowerBound<P>(fac[i].fk.data(), fac[i].fk.size(),
+                                        fac[i].rows, fac[i].fpm,
+                                        fac[i].dk.data(), Row(xb), cmps);
+    for (size_t xi = xb; xi < xe;) {
+      const size_t x = Row(xi);
+      size_t xn = xi + 1;
+      if (dups)
+        while (xn < xe && !StartsRun(xn)) ++xn;
+      bool hit = true;
+      for (size_t i = 0; i < k && hit; ++i) {
+        FactorCursor& c = cur[i];
+        if (!c.have ||
+            !KeysEqualAt<P>(fac[i].dk.data(), x, c.last, fac[i].dk.size())) {
+          Probe(i, x, &c, cmps);
+          c.have = true;
+          c.last = x;
+        }
+        hit = c.lo < c.hi;
+      }
+      const size_t at = xi;
+      xi = xn;
+      if (!hit) continue;
+      V acc;
+      if (single) {
+        // Every run is one row: the plain product, in operand order.
+        acc = lead == 0 ? annots[x] : fac[0].annots[cur[0].lo];
+        bool zero = false;
+        for (size_t o = 1; o <= k && !zero; ++o) {
+          const size_t i = o < lead ? o : o - 1;
+          acc = S::Multiply(acc, o == lead ? annots[x]
+                                           : fac[i].annots[cur[i].lo]);
+          zero = S::IsZero(acc);
+        }
+        if (zero) continue;
+      } else if (!Product(at, xn, x, cur, &acc)) {
+        continue;
+      }
+      fn(x, acc);
+    }
+  }
+
+  /// True when the walk rows sharing the first lead factor's key with the
+  /// duplicate run [xi, xn) (head row x) reach beyond it — the lead
+  /// factor's columns lead the walk order, so those rows are adjacent.
+  bool LeadKeyRunIsWider(size_t xi, size_t xn, size_t x) const {
+    const Value* const* dk = fac[0].dk.data();
+    const size_t nk = fac[0].dk.size();
+    return (xi > 0 && KeysEqualAt<P>(dk, Row(xi - 1), x, nk)) ||
+           (xn < n && KeysEqualAt<P>(dk, Row(xn), x, nk));
+  }
+
+  /// The product of the outer run at walk positions [xi, xn) (head row x)
+  /// with the factor runs in `cur`, when some run holds duplicate rows;
+  /// false when a stage's product is zero.
+  bool Product(size_t xi, size_t xn, size_t x,
+               const std::vector<FactorCursor>& cur, V* out) const {
+    const size_t k = fac.size();
+    // Operand o's run [lo, hi) and its value at run position t.
+    auto lo = [&](size_t o) {
+      return o == lead ? xi : cur[o < lead ? o : o - 1].lo;
+    };
+    auto hi = [&](size_t o) {
+      return o == lead ? xn : cur[o < lead ? o : o - 1].hi;
+    };
+    auto at = [&](size_t o, size_t t) {
+      if (o == lead) return annots[Row(t)];
+      const FactorProbe<S>& f = fac[o < lead ? o : o - 1];
+      return f.annots[f.Pos(t)];
+    };
+    // A lead factor's duplicate rows each emit the outer rows under their
+    // key. When those rows hold more than one distinct tuple, the emissions
+    // of one tuple are not adjacent: the Join merges each factor row's
+    // partial sum, and its closing sort folds the partial sums.
+    const bool nested = lead == 1 && hi(0) - lo(0) > 1 &&
+                        LeadKeyRunIsWider(xi, xn, x);
+    V acc{};
+    bool have = false;
+    for (size_t a = lo(0); a < hi(0); ++a) {
+      const V l = at(0, a);
+      V part{};
+      bool have_part = false;
+      for (size_t b = lo(1); b < hi(1); ++b) {
+        const V p = S::Multiply(l, at(1, b));
+        if (nested) {
+          part = have_part ? S::Add(part, p) : p;
+          have_part = true;
+        } else {
+          acc = have ? S::Add(acc, p) : p;
+          have = true;
+        }
+      }
+      if (nested) {
+        acc = have ? S::Add(acc, part) : part;
+        have = true;
+      }
+    }
+    if (S::IsZero(acc)) return false;
+    for (size_t o = 2; o <= k; ++o) {
+      const V l = acc;
+      have = false;
+      for (size_t b = lo(o); b < hi(o); ++b) {
+        const V p = S::Multiply(l, at(o, b));
+        acc = have ? S::Add(acc, p) : p;
+        have = true;
+      }
+      if (S::IsZero(acc)) return false;
+    }
+    *out = acc;
+    return true;
+  }
+};
+
+/// Raw values of column `j` of `r`: the column itself when plain, else
+/// decoded once, sequentially, into the next of the context's `raw_cols`
+/// buffers (`*used` counts the buffers this call has taken).
+template <CommutativeSemiring S>
+const Value* RawColumn(const Relation<S>& r, size_t j, ExecContext& cx,
+                       size_t* used) {
+  const ColView v = r.view(j);
+  if (v.plain != nullptr) return v.plain;
+  if (cx.raw_cols.size() <= *used) cx.raw_cols.resize(*used + 1);
+  std::vector<Value>& buf = cx.raw_cols[(*used)++];
+  if (buf.size() < r.size()) buf.resize(r.size());
+  v.enc->DecodeInto(0, r.size(), buf.data());
+  return buf.data();
+}
+
+/// One Eliminate batch (all variables sharing one aggregate), one
+/// instantiation per access policy. `vb`/`ve` delimit the batch's variables
+/// — none at all when a batch only folds factors in. With `factors` the
+/// batch groups r ⊗ f₁ ⊗ … (FactorWalk) without materializing that product;
+/// its output columns follow operand order, as the Join chain's would: the
+/// `lead` factors' variables first, then the rest of the outer relation's.
+template <typename A, CommutativeSemiring S>
+Relation<S> EliminateBatch(const Relation<S>& in,
+                           const std::vector<const Relation<S>*>& factors,
+                           size_t lead, const VarId* vb, const VarId* ve,
+                           VarOp op, ExecContext& cx, OpStats& st) {
+  using V = typename S::Value;
+  // Outer positions of the output columns, in output order: the outer
+  // relation's schema unless lead factors put their columns first.
+  std::vector<int> chain(in.arity());
+  std::iota(chain.begin(), chain.end(), 0);
+  if (lead > 0) {
+    const SchemaIndex idx(in.schema());
+    std::vector<char> seen(in.arity(), 0);
+    chain.clear();
+    auto take = [&](const Schema& sc) {
+      for (VarId v : sc.vars()) {
+        const int p = idx.PositionOf(v);
+        if (!seen[p]) {
+          seen[p] = 1;
+          chain.push_back(p);
+        }
+      }
+    };
+    for (size_t i = 0; i < lead; ++i) take(factors[i]->schema());
+    take(in.schema());
+  }
+  // Surviving columns of this batch, in output order.
+  std::vector<VarId> kept_vars;
+  std::vector<int>& kept_pos = cx.pos_a;
+  kept_pos.clear();
+  for (int p : chain) {
+    const VarId v = in.schema().var(static_cast<size_t>(p));
+    if (std::find(vb, ve, v) == ve) {
+      kept_vars.push_back(v);
+      kept_pos.push_back(p);
+    }
+  }
+  const size_t nkc = kept_pos.size();
+  Schema out_schema{std::move(kept_vars)};
+
+  if (factors.empty()) {
+    const size_t* perm = nullptr;
+    if (IsCanonicalKeyPrefix(in, kept_pos)) {
+      ++st.sort_skips;
+    } else {
+      KeyOrderPerm<A>(in, kept_pos, cx, &cx.perm_a, &st);
+      perm = cx.perm_a.data();
+    }
+    GatherCols<A>(in, kept_pos, &ScratchCols<A>::a(cx));
+    return FoldGroups<A, S>(in.annots().data(), ScratchCols<A>::a(cx).data(),
+                            nkc, perm, in.size(), op, std::move(out_schema),
+                            cx);
+  }
+
+  const SchemaIndex idx(in.schema());
+  bool any_empty = false;
+  for (const Relation<S>* f : factors) any_empty = any_empty || f->empty();
+  const size_t n = any_empty ? 0 : in.size();
+  const int workers = PlannedWorkers(cx, n);
+  FactorWalk<S> w;
+  w.annots = in.annots().data();
+  w.n = n;
+  w.dups = !in.canonical();
+  w.lead = lead;
+  // The walk: canonical order under the output's column order — no sort
+  // when the outer relation is canonical and no lead factor reorders its
+  // columns.
+  // The sort reads codes; everything after it reads raw values: each
+  // encoded column the walk probes or groups by is decoded once, in order,
+  // rather than unpacked at every access.
+  if (n > 0) {
+    if (in.canonical() && IsPrefixPositions(chain)) {
+      ++st.sort_skips;
+    } else {
+      GatherCols<A>(in, chain, &ScratchCols<A>::c(cx));
+      SortPermByColumns<A>(ScratchCols<A>::c(cx).data(), chain.size(), n,
+                           workers, &cx.perm_b);
+      ++st.sorts;
+      st.comparisons += SortComparisonBound(n);
+      w.walk = cx.perm_b.data();
+    }
+  }
+  size_t raw_used = 0;
+  std::vector<const Value*> dcol(in.arity(), nullptr);
+  auto outer_col = [&](int j) {
+    const Value*& c = dcol[static_cast<size_t>(j)];
+    if (c == nullptr) c = RawColumn(in, static_cast<size_t>(j), cx, &raw_used);
+    return c;
+  };
+  std::vector<const Value*> kc(nkc);
+  for (size_t c = 0; c < nkc; ++c) kc[c] = outer_col(kept_pos[c]);
+  if (w.dups)
+    for (size_t j = 0; j < in.arity(); ++j)
+      w.all.push_back(outer_col(static_cast<int>(j)));
+  w.single = !w.dups;
+  w.fac.resize(factors.size());
+  size_t shard = 0;
+  for (size_t i = 0; i < factors.size(); ++i) {
+    const Relation<S>& f = *factors[i];
+    FactorProbe<S>& p = w.fac[i];
+    p.annots = f.annots().data();
+    p.rows = f.size();
+    bool mono = true;
+    for (size_t t = 0; t < f.arity(); ++t) {
+      const int d = idx.PositionOf(f.schema().var(t));
+      mono = mono && d == chain[t];
+      if (n == 0) continue;
+      p.dk.push_back(outer_col(d));
+      p.fk.push_back(RawColumn(f, t, cx, &raw_used));
+    }
+    if (n == 0) continue;
+    if (!f.canonical()) {
+      RowOrderPerm(f, cx, &p.perm, &st);
+      p.fpm = p.perm.data();
+      w.single = false;
+    }
+    if (mono) {
+      p.kind = FactorProbeKind::kMerge;
+    } else if (BuildDenseRunIndex(&p)) {
+      p.kind = FactorProbeKind::kDense;
+    } else {
+      p.kind = FactorProbeKind::kHashed;
+      p.dir = BuildShardedRunDirectory<PlainAccess>(
+          cx, workers, p.fk.data(), p.fk.size(), p.rows, p.fpm, shard);
+      shard += p.dir.num_shards();
+    }
+  }
+
+  // Kept columns leading the output order: the survivors arrive grouped,
+  // and each group folds as the walk passes it.
+  if (std::equal(kept_pos.begin(), kept_pos.end(), chain.begin())) {
+    return MorselRun<S>(
+        cx, workers, std::move(out_schema), n,
+        [&](size_t t) {
+          return !KeysEqualAt<PlainAccess>(kc.data(), w.Row(t), w.Row(t - 1),
+                                           nkc);
+        },
+        &ExecContext::eliminate,
+        [&](ExecContext& wc, size_t gb, size_t ge, RelationBuilder<S>* b) {
+          int64_t* cmps = &wc.eliminate.comparisons;
+          std::vector<Value>& row = wc.row;
+          row.resize(nkc);
+          bool open = false;
+          size_t head = 0;
+          int64_t len = 0;
+          V acc{};
+          auto flush = [&] {
+            for (size_t c = 0; c < nkc; ++c) row[c] = kc[c][head];
+            b->Append(row, acc);
+            *cmps += len;
+          };
+          w.Run(gb, ge, cmps, [&](size_t x, V v) {
+            if (open && KeysEqualAt<PlainAccess>(kc.data(), x, head, nkc)) {
+              acc = ApplyVarOp<S>(op, acc, v);
+              ++len;
+              return;
+            }
+            if (open) flush();
+            open = true;
+            head = x;
+            acc = v;
+            len = 1;
+          });
+          if (open) flush();
+        });
+  }
+
+  // Otherwise collect the survivors (head row, product) in walk order,
+  // gather their kept columns once, and regroup them with one sort.
+  std::vector<size_t> rows;
+  std::vector<V> vals;
+  if (workers <= 1) {
+    w.Run(0, n, &st.comparisons, [&](size_t x, V v) {
+      rows.push_back(x);
+      vals.push_back(v);
+    });
+  } else {
+    const std::vector<size_t> cuts =
+        KeyAlignedCuts(n, static_cast<size_t>(workers) * kMorselsPerWorker,
+                       [&](size_t t) { return w.StartsRun(t); });
+    const size_t m = cuts.size() - 1;
+    std::vector<std::vector<size_t>> prow(m);
+    std::vector<std::vector<V>> pval(m);
+    std::vector<int64_t> pcmp(m, 0);
+    WorkerPool::Shared().ParallelFor(
+        std::min<int>(workers, static_cast<int>(m)), m, [&](int, size_t t) {
+          if (cx.cancelled()) return;
+          w.Run(cuts[t], cuts[t + 1], &pcmp[t], [&](size_t x, V v) {
+            prow[t].push_back(x);
+            pval[t].push_back(v);
+          });
+        });
+    st.morsels += static_cast<int64_t>(m);
+    for (size_t t = 0; t < m; ++t) {
+      rows.insert(rows.end(), prow[t].begin(), prow[t].end());
+      vals.insert(vals.end(), pval[t].begin(), pval[t].end());
+      st.comparisons += pcmp[t];
+    }
+  }
+  const size_t ns = rows.size();
+  std::vector<std::vector<Value>> gathered(nkc, std::vector<Value>(ns));
+  std::vector<const Value*> gc(nkc);
+  for (size_t c = 0; c < nkc; ++c) {
+    Value* g = gathered[c].data();
+    for (size_t t = 0; t < ns; ++t) g[t] = kc[c][rows[t]];
+    gc[c] = g;
+  }
+  SortPermByColumns<PlainAccess>(gc.data(), nkc, ns, PlannedWorkers(cx, ns),
+                                 &cx.perm_a);
+  ++st.sorts;
+  st.comparisons += SortComparisonBound(ns);
+  return FoldGroups<PlainAccess, S>(vals.data(), gc.data(), nkc,
+                                    cx.perm_a.data(), ns, op,
+                                    std::move(out_schema), cx);
 }
 
 }  // namespace internal
@@ -881,10 +1368,12 @@ Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
   return out;
 }
 
-/// Batched multi-variable elimination: removes every variable of `vars`
-/// (paired with its aggregate in `ops`) in the canonical innermost-first
-/// order of Eq. (4) — descending VarId. Variables absent from the schema are
-/// ignored.
+/// Batched multi-variable elimination over a ⊗-product: computes
+/// ⊕_vars (r ⊗ f₁ ⊗ … ⊗ f_k), removing every variable of `vars` (paired with
+/// its aggregate in `ops`) in the canonical innermost-first order of
+/// Eq. (4) — descending VarId. Every factor's schema must lie inside r's.
+/// Variables absent from r's schema are ignored. With no factors this is
+/// plain elimination; with no variables it is the ⊗-fold alone.
 ///
 /// Consecutive variables sharing the same aggregate are eliminated as one
 /// batch: a single group-by over the surviving columns folds the whole batch
@@ -895,18 +1384,39 @@ Relation<S> Join(const Relation<S>& left, const Relation<S>& right,
 /// group-by touch only the surviving columns and the annotation column —
 /// the eliminated columns are never read, the payoff the scan benches gate;
 /// on an encoded key column the group scan runs over packed codes.
+///
+/// The factors fold into the first batch (the InsideOut step of a GHD node,
+/// docs/kernel.md, "Factor probes"): r is walked in canonical order, each
+/// factor is probed per row — by a merge cursor when its columns lead the
+/// walk order, through a hashed run directory otherwise — the annotations
+/// multiply in operand order, rows that miss a probe or multiply to zero
+/// drop out, and the survivors fold straight into their kept-key groups
+/// (when the kept columns lead the walk order) or are regrouped by one sort
+/// of their gathered kept columns. The product r ⊗ f₁ ⊗ … is never
+/// materialized, and the result is byte-identical to Join(…Join(r, f₁)…,
+/// f_k) followed by Eliminate — column order and duplicate-row merges
+/// included. `lead` factors precede r in that chain: the operands are
+/// f₀ … f_{lead-1}, r, f_lead …, and the output columns follow that order
+/// (with two or more lead factors the first must be canonical).
+///
 /// Each batch's group-by fans out into key-aligned morsels when
 /// ctx->parallelism > 1; a group always folds whole inside one morsel, in
 /// traversal order, so parallel results are bit-identical to serial —
-/// floating-point semirings included. The input is consumed by const
+/// floating-point semirings included. The inputs are consumed by const
 /// reference through column views — no defensive copy. Each batch
-/// re-dispatches on its input's encoding, so encoded intermediates stay on
+/// re-dispatches on its inputs' encoding, so encoded intermediates stay on
 /// the encoded kernel.
 template <CommutativeSemiring S>
-Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
-                      std::vector<VarOp> ops, ExecContext* ctx = nullptr) {
+Relation<S> Eliminate(const Relation<S>& r,
+                      const std::vector<const Relation<S>*>& factors,
+                      std::vector<VarId> vars, std::vector<VarOp> ops,
+                      ExecContext* ctx = nullptr, size_t lead = 0) {
   TOPOFAQ_CHECK_MSG(vars.size() == ops.size(),
                     "one aggregate op per eliminated variable required");
+  TOPOFAQ_CHECK_MSG(lead <= factors.size(), "Eliminate: lead past factors");
+  TOPOFAQ_CHECK_MSG(lead < 2 || factors[0]->canonical(),
+                    "Eliminate: two or more lead factors need a canonical "
+                    "first factor");
   ExecContext& cx = ExecContext::Resolve(ctx);
   // Single span over the whole batched loop (one operator call, however many
   // batches it folds); the per-batch breakdown is visible in the counters it
@@ -920,13 +1430,19 @@ Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
   // The input is only ever *read* (the first batch consumes it through
   // column views; later batches consume the previous batch's output), so an
   // lvalue argument costs no relation copy. Only the degenerate call that
-  // eliminates nothing returns a copy of `r`.
+  // neither eliminates nor folds anything returns a copy of `r`.
   const Relation<S>* src = &r;
   Relation<S> cur;
 
   // Keep only variables present, then order descending (innermost first).
   {
     const SchemaIndex idx(r.schema());
+    for (const Relation<S>* f : factors) {
+      st.rows_in += static_cast<int64_t>(f->size());
+      for (VarId v : f->schema().vars())
+        TOPOFAQ_CHECK_MSG(idx.Contains(v),
+                          "Eliminate: factor variable outside r's schema");
+    }
     size_t w = 0;
     for (size_t i = 0; i < vars.size(); ++i)
       if (idx.Contains(vars[i])) {
@@ -952,26 +1468,47 @@ Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
     ops = std::move(o2);
   }
 
+  // The first batch takes the factors — a batch of no variables when there
+  // is nothing to eliminate.
+  const std::vector<const Relation<S>*> none;
+  bool fold = !factors.empty();
   size_t bi = 0;
-  while (bi < vars.size()) {
-    size_t be = bi + 1;
-    while (be < vars.size() && ops[be] == ops[bi]) ++be;
-    const VarOp op = ops[bi];
+  while (bi < vars.size() || fold) {
+    size_t be = bi;
+    VarOp op = VarOp::kSemiringSum;
+    if (bi < vars.size()) {
+      op = ops[bi];
+      while (be < vars.size() && ops[be] == op) ++be;
+    }
     const Relation<S>& in = *src;
+    const std::vector<const Relation<S>*>& fs = fold ? factors : none;
+    bool enc = in.any_encoded();
+    for (const Relation<S>* f : fs) enc = enc || f->any_encoded();
     const VarId* vb = vars.data() + bi;
     const VarId* ve = vars.data() + be;
+    const size_t ld = fold ? lead : 0;
     Relation<S> out =
-        in.any_encoded()
-            ? internal::EliminateBatch<EncodedAccess>(in, vb, ve, op, cx, st)
-            : internal::EliminateBatch<PlainAccess>(in, vb, ve, op, cx, st);
+        enc ? internal::EliminateBatch<EncodedAccess>(in, fs, ld, vb, ve, op,
+                                                      cx, st)
+            : internal::EliminateBatch<PlainAccess>(in, fs, ld, vb, ve, op, cx,
+                                                    st);
     cur = std::move(out);
     src = &cur;
     bi = be;
+    fold = false;
   }
   st.rows_out += static_cast<int64_t>(src->size());
   if (cx.trace != nullptr)
     sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(op_before, st)));
   return src == &r ? r : std::move(cur);
+}
+
+/// Plain batched elimination: the zero-factor case of the operator above.
+template <CommutativeSemiring S>
+Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
+                      std::vector<VarOp> ops, ExecContext* ctx = nullptr) {
+  return Eliminate(r, std::vector<const Relation<S>*>{}, std::move(vars),
+                   std::move(ops), ctx);
 }
 
 /// The full relation [N]^arity × {1} on `schema` with domain [0, n) — used by

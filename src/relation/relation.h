@@ -416,14 +416,26 @@ class Relation {
   }
 
   /// Largest attribute value + 1 appearing anywhere (lower bound on D).
+  /// Encoded columns never decode per row: a dictionary's last entry is its
+  /// column's max, a sorted leading FOR column's max is its last row, and
+  /// any other FOR column's max code is found by a block-wise code scan
+  /// (codes preserve value order within a column).
   uint64_t MaxValuePlusOne() const {
     uint64_t m = 1;
     for (size_t j = 0; j < arity(); ++j) {
       if (const EncodedColumn* e = encoded_col(j)) {
         if (e->encoding == ColumnEncoding::kDict) {
           if (!e->dict.empty()) m = std::max(m, e->dict.back() + 1);
-        } else {
-          for (size_t i = 0; i < e->rows; ++i) m = std::max(m, e->At(i) + 1);
+        } else if (e->rows > 0) {
+          uint64_t top = 0;
+          if (j == 0 && canonical_) {
+            top = e->CodeAt(e->rows - 1);
+          } else {
+            auto code = [](uint64_t c) { return c; };
+            auto fold = [&top](size_t, uint64_t c) { top = std::max(top, c); };
+            e->VisitImpl(0, e->rows, code, fold);
+          }
+          m = std::max(m, e->Decode(top) + 1);
         }
       } else {
         for (Value v : cols_[j]) m = std::max(m, v + 1);

@@ -30,6 +30,7 @@
 #include "ghd/width.h"
 #include "hypergraph/hypergraph.h"
 #include "relation/relation.h"
+#include "relation/sort_perm.h"
 #include "server/options.h"
 #include "util/status.h"
 
@@ -45,21 +46,22 @@ struct RelationProfile {
 };
 
 /// Scans r's leading column once (canonical order ⇒ equal keys are
-/// contiguous, so the longest run is the max matches-per-key degree).
+/// contiguous, so the longest run is the max matches-per-key degree). Equal
+/// values have equal codes within a column, so an encoded column's runs are
+/// read off its codes, unpacked block-wise, with nothing decoded.
 template <CommutativeSemiring S>
 RelationProfile ProfileRelation(const Relation<S>& r) {
   RelationProfile p;
   p.rows = r.size();
   if (r.arity() == 0 || r.size() == 0) return p;
-  uint64_t run = 1;
-  Value prev = r.at(0, 0);
-  for (size_t i = 1; i < r.size(); ++i) {
-    const Value v = r.at(i, 0);
-    run = (v == prev) ? run + 1 : 1;
-    prev = v;
-    if (run > p.max_leading_run) p.max_leading_run = run;
-  }
-  if (run > p.max_leading_run) p.max_leading_run = run;
+  uint64_t run = 0;
+  uint64_t prev = 0;
+  internal::ForEachKey<EncodedAccess>(
+      r.view(0), r.size(), [&](size_t i, uint64_t key) {
+        run = (i > 0 && key == prev) ? run + 1 : 1;
+        prev = key;
+        if (run > p.max_leading_run) p.max_leading_run = run;
+      });
   return p;
 }
 

@@ -451,6 +451,37 @@ TEST(Engine, ProfileRelationMeasuresLeadingRuns) {
   EXPECT_EQ(p.max_leading_run, 3u);
 }
 
+TEST(Engine, ProfileAndMaxValueReadCodesLikeAPerRowScan) {
+  // The profile and the domain bound read codes (block-unpacked, last row
+  // of a sorted leading FOR column); both must equal a per-row scan of the
+  // decoded values under every column encoding.
+  for (EncodingMode m : {EncodingMode::kPlain, EncodingMode::kForceDict,
+                         EncodingMode::kForceFor, EncodingMode::kAuto}) {
+    for (int skew : {0, 3}) {
+      const auto r = RandomRelation<NaturalSemiring>(
+          {0, 1, 2}, 9000, 5000, 40 + static_cast<uint64_t>(skew), skew);
+      const auto enc = Recode(r, m);
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)) + " skew " +
+                   std::to_string(skew));
+      if (m == EncodingMode::kForceFor)
+        ASSERT_EQ(enc.col_encoding(0), ColumnEncoding::kFor);
+      if (m == EncodingMode::kForceDict)
+        ASSERT_EQ(enc.col_encoding(1), ColumnEncoding::kDict);
+      uint64_t run = 0, longest = 1, top = 1;
+      for (size_t i = 0; i < enc.size(); ++i) {
+        run = i > 0 && enc.at(i, 0) == enc.at(i - 1, 0) ? run + 1 : 1;
+        longest = std::max(longest, run);
+        for (size_t j = 0; j < enc.arity(); ++j)
+          top = std::max(top, enc.at(i, j) + 1);
+      }
+      const RelationProfile p = ProfileRelation(enc);
+      EXPECT_EQ(p.rows, enc.size());
+      EXPECT_EQ(p.max_leading_run, longest);
+      EXPECT_EQ(enc.MaxValuePlusOne(), top);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parser round-trip and instantiation.
 

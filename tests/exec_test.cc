@@ -146,6 +146,13 @@ TEST(ExecContext, SerialOpStatsArePinned) {
   ctx.ResetStats();
   MultiwayJoin<NaturalSemiring>({r01, s12, t02, u012}, &ctx);
   ExpectPinned(ctx.multiway, {1, 1758, 10, 7297, 1116, 4});
+  ctx.ResetStats();
+  // The factor case: u012 ⊗ r01 ⊗ s12 ⊕-eliminating 2 — a merge cursor on
+  // r01 (its columns lead u012's), the hashed run directory on s12, and a
+  // streaming fold into the kept prefix {0, 1}; no join is made.
+  Eliminate(u012, {&r01, &s12}, {2}, {VarOp::kSemiringSum}, &ctx);
+  ExpectPinned(ctx.eliminate, {1, 1513, 28, 957, 0, 1});
+  EXPECT_EQ(ctx.join.calls, 0);
 }
 
 TEST(ExecContext, ScratchReuseIsCorrectAcrossManyCalls) {
